@@ -562,12 +562,12 @@ def gauss(M: FMatrix) -> GaussResult:
         pivots = tuple(pivots)
         work = work.astype(field.dtype)
     rank = len(pivots)
-    free = [j for j in range(c) if j not in set(pivots)]
+    pivset = set(pivots)
+    free = [j for j in range(c) if j not in pivset]
+    # kernel row i: 1 at free column free[i], -work[k, free[i]] at pivots[k]
     kern = np.zeros((len(free), c), dtype=field.dtype)
-    for i, f in enumerate(free):
-        kern[i, f] = 1
-        for k, pv in enumerate(pivots):
-            kern[i, pv] = field.neg(int(work[k, f]))
+    kern[np.arange(len(free)), free] = 1
+    kern[:, list(pivots)] = field.neg_vec(work[:rank, free]).T
     return GaussResult(rank, tuple(pivots), FMatrix(field, work), FMatrix(field, kern))
 
 

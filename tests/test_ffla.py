@@ -129,6 +129,33 @@ def test_gauss_rank_transpose(f):
             assert r.rref.a[row, col] == 1
 
 
+def _scalar_kernel(f, res, ncols):
+    """Kernel basis built one entry at a time from the RREF."""
+    free = [j for j in range(ncols) if j not in res.pivots]
+    kern = np.zeros((len(free), ncols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        kern[i, fc] = 1
+        for k, pv in enumerate(res.pivots):
+            kern[i, pv] = f.neg(int(res.rref.a[k, fc]))
+    return kern
+
+
+@given(st.sampled_from([(3, 1), (2, 2), (5, 1), (3, 2), (2, 6), (5, 2)]),
+       st.integers(0, 7), st.integers(0, 9), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_gauss_kernel_matches_scalar_construction(pe, n, m, seed):
+    f = field_make(*pe)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, f.q, size=(n, m))
+    # sparse rows and repeated rows give rank-deficient inputs
+    a[rng.random(size=(n, m)) < 0.4] = 0
+    if n >= 2:
+        a[-1] = a[0]
+    res = gauss(FMatrix(f, a.astype(f.dtype)))
+    assert res.kernel.a.dtype == f.dtype
+    assert res.kernel.a.tolist() == _scalar_kernel(f, res, m).tolist()
+
+
 def test_gauss_on_identity_and_zero(f):
     I5 = FMatrix.identity(f, 5)
     r = gauss(I5)

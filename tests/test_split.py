@@ -8,19 +8,22 @@ end.
 """
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endotriv import split
 from endotriv.ffla import FMatrix, field_make, gauss
 from endotriv.grp import GroupTable, PermOps
 from endotriv.modrep import InducedContext, character_group
-from endotriv.split import (HeckeEnd, algebra_radical, charpoly, chop,
-                            composition_factor_dims, elem_symmetric_coeff,
-                            factor_poly, is_irreducible, module_iso, padd,
-                            pdeg, pdivmod, pgcd, pmod, pmonic, pmul, pneg,
-                            psub, pxgcd, split_summands, squarefree_parts)
+from endotriv.split import (HeckeEnd, algebra_radical, charpoly,
+                            charpoly_batch, chop, composition_factor_dims,
+                            elem_symmetric_coeff, factor_poly, is_irreducible,
+                            module_iso, padd, pdeg, pdivmod, pgcd, pmod,
+                            pmonic, pmul, pneg, psub, pxgcd, split_summands,
+                            squarefree_parts)
 
 
 def perm(degree, *cycles):
@@ -185,6 +188,48 @@ def test_elem_symmetric_matches_charpoly():
                 ek = elem_symmetric_coeff(f, M, k)
                 want = cp[n - k] if k % 2 == 0 else f.neg(int(cp[n - k]))
                 assert ek == want
+
+
+def _oracle_matrix(f, n, kind, rng):
+    """A test matrix of the given kind; the structured kinds drive the
+    Hessenberg reduction through pivot swaps and all-zero columns."""
+    M = rng.integers(0, f.q, size=(n, n))
+    if kind == "sparse":
+        M[rng.random(size=(n, n)) < 0.75] = 0
+    elif kind == "zero":
+        M[:] = 0
+    elif kind == "nilpotent":
+        # strictly upper triangular, conjugated by a permutation
+        M = np.triu(M, 1)
+        perm_ = rng.permutation(n)
+        M = M[perm_][:, perm_]
+    elif kind == "block":
+        # zero subdiagonal: two diagonal blocks, no coupling below
+        k = n // 2
+        M[k:, :k] = 0
+        M[np.arange(1, n), np.arange(n - 1)] = 0
+    return M.astype(np.int64)
+
+
+CHARPOLY_FIELDS = [(2, 1), (2, 2), (2, 6), (3, 1), (5, 2)]
+
+
+@given(st.sampled_from(CHARPOLY_FIELDS), st.integers(0, 10),
+       st.lists(st.sampled_from(["random", "sparse", "zero", "nilpotent",
+                                 "block"]), min_size=1, max_size=9),
+       st.sampled_from([1, 7, 50, None]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_charpoly_batch_matches_charpoly(pe, n, kinds, cells, seed):
+    f = field_make(*pe)
+    rng = np.random.default_rng(seed)
+    mats = np.stack([_oracle_matrix(f, n, kind, rng) for kind in kinds])
+    # a small cell bound splits the batch into several passes
+    bound = split.CHARPOLY_CHUNK_CELLS if cells is None else cells
+    with mock.patch.object(split, "CHARPOLY_CHUNK_CELLS", bound):
+        got = charpoly_batch(f, mats.astype(f.dtype))
+    assert got.shape == (len(kinds), n + 1)
+    for M, row in zip(mats, got):
+        assert row.tolist() == charpoly(f, M).tolist()
 
 
 # -- radical ------------------------------------------------------------------
@@ -369,6 +414,72 @@ def test_hecke_dim_mackey_oracle(a5setup):
                 if G.mul(G.mul(gi, x), g) in nset)
             total += 1 if agree else 0
         assert HeckeEnd(ctx, lam).dim_alg == total
+
+
+def _hecke_algebras(a5setup):
+    """The Hecke algebras of A5 over the Sylow normalizer, one per
+    character, and the 6-dimensional one over the Sylow 2-subgroup."""
+    G, P, ctx, f, chars = a5setup
+    out = [HeckeEnd(ctx, lam) for lam in chars]
+    pctx = InducedContext(G, P)
+    pchars = character_group(pctx.ntable,
+                             pctx.ntable.abelianization_pprime(2), f)
+    return out + [HeckeEnd(pctx, lam) for lam in pchars]
+
+
+def _oracle_mul(h, x, y):
+    """x y = sum over a, b of x_a y_b F_a F_b, one coordinate at a time."""
+    f = h.f
+    out = [0] * h.dim_alg
+    for a in range(h.dim_alg):
+        for b in range(h.dim_alg):
+            xy = f.mul(int(x[a]), int(y[b]))
+            for d in range(h.dim_alg):
+                out[d] = f.add(out[d], f.mul(xy, int(h.structure[d, a, b])))
+    return out
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_hecke_mul_matches_structure_constants(a5setup, seed):
+    rng = np.random.default_rng(seed)
+    for h in _hecke_algebras(a5setup):
+        x, y = rng.integers(0, h.f.q, size=(2, h.dim_alg))
+        assert h.mul(x, y).tolist() == _oracle_mul(h, x, y)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_hecke_corners_match_definitions(a5setup, seed):
+    rng = random.Random(seed)
+    for h in _hecke_algebras(a5setup):
+        f = h.f
+        prims = h.primitive_idempotents(random.Random(seed))
+        # a sum of orthogonal primitive idempotents is an idempotent
+        e = np.zeros(h.dim_alg, dtype=np.int64)
+        for p_ in prims:
+            if rng.random() < 0.6:
+                e = f.add_vec(e, p_).astype(np.int64)
+        if not e.any():
+            e = h.unit
+        # corner basis: RREF of the rows e F_k e
+        rows = []
+        for k in range(h.dim_alg):
+            unit_k = np.zeros(h.dim_alg, dtype=np.int64)
+            unit_k[k] = 1
+            rows.append(_oracle_mul(h, _oracle_mul(h, e, unit_k), e))
+        red = gauss(FMatrix(f, np.array(rows, dtype=np.int64)))
+        basis = h._corner_basis(e)
+        assert basis.tolist() == red.rref.a[: red.rank].tolist()
+        # corner regular representation: column j of reg[i] holds the
+        # coordinates of b_i b_j in the corner basis
+        reg = h._corner_regular(basis)
+        m = basis.shape[0]
+        for i in range(m):
+            for j in range(m):
+                back = f.matmul(reg[i][:, j][None, :].astype(f.dtype),
+                                basis.astype(f.dtype))[0]
+                assert back.tolist() == _oracle_mul(h, basis[i], basis[j])
 
 
 def test_primitive_idempotents(a5setup):
