@@ -87,22 +87,11 @@ class SylowClasses:
         """Class index of a subgroup given as a set of P-table indices."""
         if sub in self._canon_cache:
             return self._canon_cache[sub]
-        best = None
-        orbit = {sub}
-        stack = [sub]
-        while stack:
-            T = stack.pop()
-            for g in range(self.pt.order):
-                Tg = frozenset(self.pt.conj(g, t) for t in T)
-                if Tg not in orbit:
-                    orbit.add(Tg)
-                    stack.append(Tg)
-        for T in orbit:
-            key = tuple(sorted(T))
-            if key in self._class_idx:
-                best = self._class_idx[key]
-                break
-        assert best is not None, "subgroup class not found"
+        orbit = self.pt.conjugates(sub, range(self.pt.order))
+        # class representatives are the least members of their orbits
+        best = self._class_idx.get(min(tuple(sorted(T)) for T in orbit))
+        if best is None:
+            raise ValueError(f"{sorted(sub)} is not a subgroup of P")
         for T in orbit:
             self._canon_cache[T] = best
         return best

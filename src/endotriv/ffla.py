@@ -3,7 +3,13 @@
 Field elements are stored as integer codes: the code of sum(d_i * x^i) is
 sum(d_i * p^i) with digits 0 <= d_i < p, so code arithmetic never carries
 between digits.  Multiplication runs through discrete log/exp tables over a
-fixed primitive polynomial; matrix products are digit-sliced into float64
+fixed primitive polynomial, in zero-absorbing form: log[0] = 2(q-1), and exp
+has 4(q-1)+1 entries, gen^(k mod (q-1)) below 2(q-1) and 0 from there on.
+The log-sum of two units stays below 2(q-1), and any sum involving a zero
+lands at 2(q-1) or above, so every product, scalar or broadcast, is the one
+lookup exp[log[a] + log[b]] with no zero mask and no reduction.  The tables
+hold about 5q entries, 1 MiB at the largest field q = 2^16, so this one path
+serves every field size.  Matrix products are digit-sliced into float64
 BLAS calls, which is exact as long as dim * (p-1)^2 * e < 2^53.  For GF(2)
 matrices the rows are bit-packed into Python ints.
 """
@@ -85,7 +91,9 @@ class FieldTable:
         p, e, q: characteristic, extension degree, order q = p**e.
         poly: coefficient tuple of the primitive polynomial used.
         gen: code of the fixed primitive element (x for e >= 2).
-        exp, log: numpy tables with exp[k] = gen^k and log[exp[k]] = k.
+        exp, log: zero-absorbing tables (see the module docstring):
+            exp[k] = gen^(k mod (q-1)) for k < 2(q-1) and 0 above,
+            log[exp[k]] = k for k < q-1 and log[0] = 2(q-1).
     """
 
     def __init__(self, p: int, e: int, poly: Optional[tuple[int, ...]] = None):
@@ -103,22 +111,24 @@ class FieldTable:
         if poly is None:
             poly = _PRIMITIVE_POLYS.get((p, e))
         if poly is not None:
-            built = self._try_tables(poly)
-            if built is None:
+            powers = self._unit_powers(poly)
+            if powers is None:
                 raise ValueError(f"polynomial {poly} is not primitive for GF({p}^{e})")
         else:
-            built = None
+            powers = None
             for poly in self._candidate_polys():
-                built = self._try_tables(poly)
-                if built is not None:
+                powers = self._unit_powers(poly)
+                if powers is not None:
                     break
-            if built is None:
+            if powers is None:
                 raise ValueError(f"no primitive polynomial found for GF({p}^{e})")
         self.poly = tuple(poly)
-        exp_list, log_list = built
-        self.exp = np.array(exp_list, dtype=np.int64)
-        self.log = np.array(log_list, dtype=np.int64)
-        self.gen = int(self.exp[1]) if q > 2 else 1
+        n = q - 1
+        self.exp = np.zeros(4 * n + 1, dtype=self.dtype)
+        self.exp[: 2 * n] = powers + powers
+        self.log = np.full(q, 2 * n, dtype=np.intp)
+        self.log[powers] = np.arange(n)
+        self.gen = int(self.exp[1])
         self._red = self._reduction_table()
         self._embed_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -140,23 +150,21 @@ class FieldTable:
             ld[i] = (ld[i] - top * c) % p
         return _digits_to_code(ld, p)
 
-    def _try_tables(self, poly: tuple[int, ...]):
+    def _unit_powers(self, poly: tuple[int, ...]) -> Optional[list[int]]:
+        """[x^0, ..., x^(q-2)] modulo poly, or None if x is not primitive."""
         q = self.q
-        exp_list = [1]
+        powers = [1]
         c = 1
         for _ in range(q - 2):
             c = self._mulx(c, poly)
             if c == 1 or c == 0:
                 return None
-            exp_list.append(c)
+            powers.append(c)
         if self._mulx(c, poly) != 1:
             return None
-        if len(set(exp_list)) != q - 1:
+        if len(set(powers)) != q - 1:
             return None
-        log_list = [-1] * q
-        for k, v in enumerate(exp_list):
-            log_list[v] = k
-        return exp_list, log_list
+        return powers
 
     def _reduction_table(self) -> np.ndarray:
         # red[m, k]: coefficient of x^k in (x^m mod poly), for m < 2e-1
@@ -197,14 +205,12 @@ class FieldTable:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % (self.q - 1)])
+        return int(self.exp[self.log[a] + self.log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return int(self.exp[(-self.log[a]) % (self.q - 1)])
+        return int(self.exp[self.q - 1 - self.log[a]])
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -219,8 +225,10 @@ class FieldTable:
         """Canonical primitive m-th root of unity gen^((q-1)/m); m must divide q-1."""
         if m < 1 or (self.q - 1) % m != 0:
             raise ValueError(f"no primitive {m}-th root of unity in GF({self.p}^{self.e})")
-        z = int(self.exp[((self.q - 1) // m) % (self.q - 1)])
-        assert self.pow(z, m) == 1
+        z = int(self.exp[(self.q - 1) // m])
+        if self.pow(z, m) != 1:
+            raise RuntimeError(f"GF({self.p}^{self.e}) tables are inconsistent: "
+                               f"gen^((q-1)/{m}) has order other than {m}")
         return z
 
     # -- vectorized ops on code arrays ---------------------------------------
@@ -255,26 +263,17 @@ class FieldTable:
         return self.add_vec(a, self.neg_vec(b))
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        zero = (a == 0) | (b == 0)
-        la = self.log[np.where(a == 0, 1, a)]
-        lb = self.log[np.where(b == 0, 1, b)]
-        prod = self.exp[(la + lb) % (self.q - 1)]
-        return np.where(zero, 0, prod).astype(self.dtype)
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv_vec(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
+        if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inverse of zero")
-        return self.exp[(-self.log[a]) % (self.q - 1)].astype(self.dtype)
+        return self.exp[self.q - 1 - self.log[a]]
 
     def pow_vec(self, a: np.ndarray, n: int) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        zero = a == 0
-        la = self.log[np.where(zero, 1, a)]
-        out = self.exp[(la * n) % (self.q - 1)]
-        return np.where(zero, 0, out).astype(self.dtype)
+        """Elementwise a^n, with 0^n = 0 for every n."""
+        la = self.log[a]
+        return self.exp[np.where(la == 2 * (self.q - 1), la, la * n % (self.q - 1))]
 
     def frobenius_vec(self, a: np.ndarray) -> np.ndarray:
         return self.pow_vec(a, self.p)
@@ -469,16 +468,6 @@ class FMatrix:
 
     def is_zero(self) -> bool:
         return not np.any(self.a)
-
-    def is_scalar(self) -> Optional[int]:
-        """Return c if the matrix equals c*I, else None."""
-        r, c = self.a.shape
-        if r != c or r == 0:
-            return None
-        d = int(self.a[0, 0])
-        if np.array_equal(self.a, d * np.eye(r, dtype=np.int64)):
-            return d
-        return None
 
     def rank(self) -> int:
         return gauss(self).rank

@@ -121,7 +121,6 @@ class GroupTable:
         self._orders: Optional[list[int]] = None
         self._classes: Optional[list[list[int]]] = None
         self._redge: Optional[np.ndarray] = None
-        self._words: Optional[list] = None
 
     # -- element access -------------------------------------------------------
 
@@ -139,15 +138,6 @@ class GroupTable:
                     arr[a, gi] = self.index[ops.key(ops.mul(x, g))]
             self._redge = arr
         return self._redge
-
-    def word(self, i: int) -> tuple[int, ...]:
-        """Generator indices whose product is elements[i] (identity: empty)."""
-        if self._words is None:
-            self._words = [None] * self.n
-            self._words[0] = ()
-        if self._words[i] is None:
-            self._words[i] = self.word(self._parent[i]) + (self._genidx[i],)
-        return self._words[i]
 
     def mul(self, i: int, j: int) -> int:
         if self.ops.direct_mul:
@@ -205,6 +195,7 @@ class GroupTable:
         return self._orders[i]
 
     def word(self, i: int) -> tuple[int, ...]:
+        """Generator indices whose product is elements[i] (identity: empty)."""
         out = []
         while i != 0:
             out.append(self._genidx[i])
@@ -308,14 +299,6 @@ class GroupTable:
         for g in range(self.n):
             ginv = self.inv(g)
             if all(self.mul(self.mul(g, x), ginv) in sub_set for x in gens):
-                out.append(g)
-        return out
-
-    def centralizer(self, sub: Iterable[int]) -> list[int]:
-        gens = self.small_gens(sub)
-        out = []
-        for g in range(self.n):
-            if all(self.mul(g, x) == self.mul(x, g) for x in gens):
                 out.append(g)
         return out
 
@@ -513,11 +496,9 @@ class GroupTable:
 
     # -- subgroup lattice of a small p-group ----------------------------------
 
-    def subgroups_up_to_conj(self, P: Sequence[int]) -> list[tuple[int, ...]]:
-        """All subgroups of the subgroup P (<= 64 elements) up to P-conjugacy.
-
-        Returns sorted element-index tuples, ordered by (order, tuple).
-        """
+    def subgroups(self, P: Sequence[int]) -> list[frozenset[int]]:
+        """All subgroups of the subgroup P (<= 64 elements), sorted by
+        (order, sorted elements), by breadth-first closure of S + {x}."""
         P_sorted = sorted(set(P))
         if len(P_sorted) > 64:
             raise ValueError("subgroup lattice supported only for |P| <= 64")
@@ -537,24 +518,25 @@ class GroupTable:
                         all_subs.add(T)
                         nxt.append(T)
             frontier = nxt
-        # conjugacy orbits under P
+        return sorted(all_subs, key=lambda s: (len(s), sorted(s)))
+
+    def conjugates(self, sub: frozenset[int], P: Iterable[int]) -> set[frozenset[int]]:
+        """The orbit {g sub g^-1 : g in P} of a subgroup under a subgroup P."""
+        return {frozenset(self.conj(g, x) for x in sub) for g in P}
+
+    def subgroups_up_to_conj(self, P: Sequence[int]) -> list[tuple[int, ...]]:
+        """All subgroups of the subgroup P (<= 64 elements) up to P-conjugacy.
+
+        Returns sorted element-index tuples, ordered by (order, tuple); each
+        representative is the least member of its class in that order.
+        """
         reps = []
         seen: set[frozenset[int]] = set()
-        for S in sorted(all_subs, key=lambda s: (len(s), sorted(s))):
-            if S in seen:
-                continue
-            orbit = {S}
-            stack = [S]
-            while stack:
-                T = stack.pop()
-                for g in P_sorted:
-                    Tg = frozenset(self.conj(g, t) for t in T)
-                    if Tg not in orbit:
-                        orbit.add(Tg)
-                        stack.append(Tg)
-            seen |= orbit
-            reps.append(tuple(sorted(min(orbit, key=lambda s: sorted(s)))))
-        return sorted(reps, key=lambda t: (len(t), t))
+        for S in self.subgroups(P):
+            if S not in seen:
+                seen |= self.conjugates(S, P)
+                reps.append(tuple(sorted(S)))
+        return reps
 
     def classify_2group(self, P: Sequence[int]) -> str:
         """Isomorphism-type label for a 2-subgroup P.

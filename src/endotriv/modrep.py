@@ -300,33 +300,11 @@ class BrauerQuotient:
         return int(sol.a[-1, 0])
 
 
-def _all_subgroups_small(table: GroupTable, indices: Sequence[int]) -> list[frozenset[int]]:
-    """All subgroups of a small subgroup, by closure of subsets (order <= 16)."""
-    idx = sorted(indices)
-    assert len(idx) <= 16
-    found = {frozenset([0])}
-    frontier = [frozenset([0])]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            # extend by one generator at a time
-            for x in idx:
-                if x in s:
-                    continue
-                t = frozenset(table.closure(set(s) | {x}))
-                if t not in found:
-                    found.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-
-
 def _maximal_subgroups(table: GroupTable, indices: Sequence[int], p: int
                        ) -> list[frozenset[int]]:
     """Maximal subgroups (index p) of a p-subgroup given by ambient indices."""
     n = len(list(indices))
-    subs = _all_subgroups_small(table, indices)
-    return [s for s in subs if len(s) * p == n]
+    return [s for s in table.subgroups(indices) if len(s) * p == n]
 
 
 def brauer_quotient(rep: ModuleRep, sub_indices: Sequence[int], p: int

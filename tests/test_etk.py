@@ -102,9 +102,15 @@ def test_sylow_classes_d8():
     assert sizes == [1, 2, 2, 2, 4, 4, 4, 8]
     cyc = sc.cyclic_nontrivial()
     assert sorted(len(sc.classes[i]) for i in cyc) == [2, 2, 2, 4]
-    # every class member set is closed and conjugate to the representative
-    for cls in sc.classes:
-        assert sc.class_of(frozenset(cls)) == sc.classes.index(cls)
+    # every P-conjugate of every class maps to its class; a fresh instance
+    # per conjugating element, so each lookup walks the orbit uncached
+    for g in range(8):
+        sc = SylowClasses(G, range(8))
+        for i, cls in enumerate(sc.classes):
+            conj = frozenset(sc.pt.conj(g, x) for x in cls)
+            assert sc.class_of(conj) == i
+    with pytest.raises(ValueError, match="not a subgroup"):
+        sc.class_of(frozenset({1}))
 
 
 def brute_fixed_cosets(sc, qi, ri):

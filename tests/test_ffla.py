@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endotriv.ffla import FMatrix, FieldTable, field_make, gauss, kron, \
-    solve_right
+from endotriv.ffla import _PRIMITIVE_POLYS, FMatrix, FieldTable, field_make, \
+    gauss, kron, solve_right
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (5, 1), (5, 2), (3, 2)]
 
@@ -54,6 +54,14 @@ def test_distributivity_and_associativity(f):
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
 
 
+def test_root_of_unity_checks_tables():
+    f = FieldTable(2, 2)
+    assert f.root_of_unity(3) == f.gen
+    f.exp[0] = f.gen  # gen^0 must be 1
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        f.root_of_unity(3)
+
+
 def test_frobenius_is_additive(f):
     q = f.p ** f.e
     for a in range(q):
@@ -70,7 +78,7 @@ def test_char_divides_one_sums(f):
     assert acc == 0
 
 
-@given(st.integers(0, 3), st.data())
+@given(st.integers(0, len(FIELDS) - 1), st.data())
 @settings(max_examples=60, deadline=None)
 def test_vector_ops_match_scalar_loops(fi, data):
     p, e = FIELDS[fi]
@@ -86,6 +94,80 @@ def test_vector_ops_match_scalar_loops(fi, data):
     assert [f.mul(int(x), int(y)) for x, y in zip(a, b)] == \
         list(f.mul_vec(a, b))
     assert [f.neg(int(x)) for x in a] == list(f.neg_vec(a))
+
+
+def _shift_and_add_mul(f, a, b):
+    """a * b without the log/exp tables: schoolbook over the digits of b,
+    with a * x^i from repeated multiplication by x modulo the polynomial."""
+    acc = 0
+    for _ in range(f.e):
+        for _ in range(b % f.p):
+            acc = f.add(acc, a)
+        a = f._mulx(a, f.poly)
+        b //= f.p
+    return acc
+
+
+# every anchored field, plus GF(2^9) (q > 256, uint16 codes) from the
+# lexicographic polynomial search
+ORACLE_FIELDS = sorted(_PRIMITIVE_POLYS) + [(2, 9)]
+
+
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 3 * 2 ** 9), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_products_match_shift_and_add(pe, n, m, k, seed):
+    f = field_make(*pe)
+    q = f.q
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, q, size=(n, m))
+    b = rng.integers(0, q, size=(n, m))
+    # the units 1 and q-1, then a zero row of a and a zero column of b
+    a[-1, -1] = 1
+    b[-1, -1] = q - 1
+    a[0, :] = 0
+    b[:, 0] = 0
+    c = int(rng.integers(0, q))
+    want = np.array([[_shift_and_add_mul(f, int(x), int(y)) for x, y in zip(ra, rb)]
+                     for ra, rb in zip(a, b)])
+    for x, y in [(a, b), (a.astype(f.dtype), b.astype(f.dtype)),
+                 (a, b.astype(f.dtype))]:
+        got = f.mul_vec(x, y)
+        assert got.dtype == f.dtype
+        assert got.tolist() == want.tolist()
+    assert [[f.mul(int(x), int(y)) for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)] == want.tolist()
+    # scalar times matrix, both ways round, as gauss and FMatrix.scale call it
+    scaled = [[_shift_and_add_mul(f, c, int(y)) for y in rb] for rb in b]
+    assert f.mul_vec(np.int64(c), b.astype(f.dtype)).tolist() == scaled
+    assert f.mul_vec(b, np.int64(c)).tolist() == scaled
+    # column times row, as the elimination update and HeckeEnd.realize call it
+    col, row = a[:, :1], b[-1:, :]
+    outer = [[_shift_and_add_mul(f, int(x), int(y)) for y in row[0]] for x in col[:, 0]]
+    assert f.mul_vec(col, row).tolist() == outer
+    # inverses of units, and zero refused
+    units = a[a != 0]
+    if units.size:
+        inv = f.inv_vec(units)
+        assert inv.dtype == f.dtype
+        assert [_shift_and_add_mul(f, int(x), int(y)) for x, y in zip(units, inv)] \
+            == [1] * units.size
+        assert [f.inv(int(x)) for x in units] == inv.tolist()
+    with pytest.raises(ZeroDivisionError):
+        f.inv_vec(a)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    # powers by square-and-multiply on the reference product; 0^k = 0
+    def ref_pow(x, k):
+        out, base = 1, x
+        while k:
+            if k & 1:
+                out = _shift_and_add_mul(f, out, base)
+            base = _shift_and_add_mul(f, base, base)
+            k >>= 1
+        return out
+    assert f.pow_vec(a, k).tolist() == [[ref_pow(int(x), k) for x in ra] for ra in a]
+    assert f.pow_vec(a.astype(f.dtype), k).dtype == f.dtype
 
 
 def _naive_matmul(f, A, B):

@@ -2,6 +2,7 @@
 Brauer quotients.  The Brauer quotient of a permutation module is checked
 against the subgroup fixed-point count, an independent combinatorial value.
 """
+import itertools
 import random
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 
 from endotriv.ffla import FMatrix, field_make, gauss
 from endotriv.grp import GroupTable, PermOps
-from endotriv.modrep import (InducedContext, ModuleRep, brauer_quotient,
-                             character_group, fixed_point_rows, jordan_profile,
-                             one_dim_module, subgroup_table)
+from endotriv.modrep import (InducedContext, ModuleRep, _maximal_subgroups,
+                             brauer_quotient, character_group, fixed_point_rows,
+                             jordan_profile, one_dim_module, subgroup_table)
 
 
 def perm(degree, *cycles):
@@ -154,6 +155,19 @@ def _fixed_points(G, Q):
         if all(G.elements[g][x] == x for g in Q):
             out += 1
     return out
+
+
+@pytest.mark.parametrize("gens", [
+    [perm(4, (0, 1, 2, 3)), perm(4, (1, 3))],           # D8
+    [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))],  # Klein four
+], ids=["d8", "klein"])
+def test_maximal_subgroups_brute(gens):
+    G = GroupTable(PermOps(4), gens)
+    half = [frozenset(s) for s in itertools.combinations(range(G.order), G.order // 2)
+            if 0 in s and all(G.mul(x, y) in s for x in s for y in s)]
+    assert len(half) == 3
+    assert sorted(_maximal_subgroups(G, range(G.order), 2), key=sorted) == \
+        sorted(half, key=sorted)
 
 
 def test_brauer_quotient_permutation_oracle():
