@@ -307,9 +307,9 @@ def is_endotrivial_direct(rep: ModuleRep, sc: SylowClasses, p: int,
         etype = endomorphism_type(utype, sc)
     ok = etype.get(full, 0) == 1 and all(
         m == 0 for c, m in etype.items() if c not in (full, triv))
-    if ok:
-        assert rep.dim ** 2 % sc.pt.order == 1, \
-            "endo-trivial verdict with dim^2 not 1 mod |P|"
+    if ok and rep.dim ** 2 % sc.pt.order != 1:
+        raise RuntimeError(f"endo-trivial verdict for dimension {rep.dim}, "
+                           f"whose square is not 1 mod |P| = {sc.pt.order}")
     return ok
 
 
@@ -345,7 +345,8 @@ def bq_character(rep: ModuleRep, P: Sequence[int], p: int,
                  ) -> LinearCharacter:
     """Which p'-character of N acts on the 1-dim Brauer quotient at P."""
     bq = brauer_quotient(rep, P, p)
-    assert bq.dim == 1, f"Brauer quotient at P has dim {bq.dim}, expected 1"
+    if bq.dim != 1:
+        raise RuntimeError(f"Brauer quotient at P has dim {bq.dim}, expected 1")
     nt = ctx.ntable
     gen_amb = [ctx.G.idx(g) for g in nt.gens]
     acts = [bq.action_scalar(g) for g in gen_amb]

@@ -12,6 +12,12 @@ hold about 5q entries, 1 MiB at the largest field q = 2^16, so this one path
 serves every field size.  Matrix products are digit-sliced into float64
 BLAS calls, which is exact as long as dim * (p-1)^2 * e < 2^53.  For GF(2)
 matrices the rows are bit-packed into Python ints.
+
+Row reduction (``gauss``) for q > 2 works in the field dtype (uint8/uint16)
+with no int64 copy.  Each pivot updates only the columns from the pivot
+column on, since everything left of it is already reduced, and in
+characteristic 2, where addition of codes is XOR, the update is applied in
+place with ``^=``.
 """
 from __future__ import annotations
 
@@ -271,9 +277,14 @@ class FieldTable:
         return self.exp[self.q - 1 - self.log[a]]
 
     def pow_vec(self, a: np.ndarray, n: int) -> np.ndarray:
-        """Elementwise a^n, with 0^n = 0 for every n."""
+        """Elementwise a^n, as ``pow`` computes it: 0^0 = 1, 0^n = 0 for
+        n > 0, and ZeroDivisionError for a zero entry when n < 0."""
+        log_zero = 2 * (self.q - 1)
         la = self.log[a]
-        return self.exp[np.where(la == 2 * (self.q - 1), la, la * n % (self.q - 1))]
+        zero = la == log_zero
+        if n < 0 and np.any(zero):
+            raise ZeroDivisionError("inverse of zero")
+        return self.exp[np.where(zero, log_zero if n else 0, la * n % (self.q - 1))]
 
     def frobenius_vec(self, a: np.ndarray) -> np.ndarray:
         return self.pow_vec(a, self.p)
@@ -518,38 +529,55 @@ class GaussResult:
 
 
 def gauss(M: FMatrix) -> GaussResult:
-    """Deterministic reduced row echelon form: leftmost pivot, first nonzero row."""
+    """Deterministic reduced row echelon form: leftmost pivot, first nonzero row.
+
+    GF(2) runs on bit-packed rows (``gf2.rref_packed``).  Every other field
+    is eliminated on a copy of ``M.a`` in the field dtype, one pivot column
+    at a time, and each pivot touches only the window of columns ``col:``:
+    the pivot row and every row below it are zero left of ``col``, so the
+    columns there cannot change.  The pivot row is normalised once; the
+    update is one exp/log lookup (when more rows need clearing than the
+    field has units, the pivot row is scaled by every unit once and the
+    update gathers those rows).  In characteristic 2 it is applied in place
+    by XOR of codes; for odd p by ``sub_vec`` on the window.
+    """
     field = M.field
     r, c = M.shape
     if field.q == 2:
         rank, pivots, rows = gf2.rref_packed(gf2.pack_rows(M.a), c)
         work = gf2.unpack_rows(rows, c).astype(field.dtype)
     else:
-        work = M.a.astype(np.int64).copy()
+        work = M.a.copy()
+        exp, log = field.exp, field.log
+        units = field.q - 1
         pivots = []
         row = 0
         for col in range(c):
             if row >= r:
                 break
-            nz = np.nonzero(work[row:, col])[0]
+            nz = work[row:, col].nonzero()[0]
             if nz.size == 0:
                 continue
             piv = row + int(nz[0])
             if piv != row:
-                work[[row, piv]] = work[[piv, row]]
-            inv = field.inv(int(work[row, col]))
-            work[row] = field.mul_vec(work[row], np.int64(inv))
-            others = np.nonzero(work[:, col])[0]
+                work[[row, piv], col:] = work[[piv, row], col:]
+            prow = field.mul_vec(work[row, col:], np.int64(field.inv(int(work[row, col]))))
+            work[row, col:] = prow
+            others = work[:, col].nonzero()[0]
             others = others[others != row]
             if others.size:
-                factors = work[others, col][:, None]
-                work[others] = field.sub_vec(
-                    work[others], field.mul_vec(factors, work[row][None, :])
-                )
+                lf, lp = log[work[others, col]], log[prow]
+                if others.size > units:
+                    prod = exp[np.arange(units)[:, None] + lp][lf]
+                else:
+                    prod = exp[lf[:, None] + lp]
+                if field.p == 2:
+                    work[others, col:] ^= prod
+                else:
+                    work[others, col:] = field.sub_vec(work[others, col:], prod)
             pivots.append(col)
             row += 1
         pivots = tuple(pivots)
-        work = work.astype(field.dtype)
     rank = len(pivots)
     pivset = set(pivots)
     free = [j for j in range(c) if j not in pivset]

@@ -282,7 +282,9 @@ class BrauerQuotient:
     def action_scalar(self, g: int) -> int:
         """Scalar action of element g (must normalize the subgroup) on a
         1-dimensional quotient."""
-        assert self.dim == 1
+        if self.dim != 1:
+            raise ValueError(f"action scalar needs a 1-dimensional Brauer quotient, "
+                             f"not dimension {self.dim}")
         f = self.rep.field
         img = self.image.a
         # pick a fixed row outside the image span
@@ -292,11 +294,15 @@ class BrauerQuotient:
             if FMatrix(f, cand).rank() == img.shape[0] + 1:
                 base = self.fixed.a[r]
                 break
-        assert base is not None
+        if base is None:
+            raise RuntimeError("Brauer quotient of dimension 1 has no fixed row "
+                               "outside the trace image")
         w = self.rep.at(g) @ FMatrix(f, base[:, None].copy())
         basis = FMatrix(f, np.vstack([img, base[None, :]])).T
         sol = solve_right(basis, w)
-        assert sol is not None
+        if sol is None:
+            raise RuntimeError(f"element {g} does not act on the Brauer quotient; "
+                               "it must normalize the subgroup")
         return int(sol.a[-1, 0])
 
 

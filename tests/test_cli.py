@@ -1,7 +1,11 @@
 """Command line front end tests: schema shape, exit codes, determinism."""
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,23 @@ def test_reports_identical_across_seeds(capsys):
                               "--seed", "31337")
     assert code0 == code1 == 0
     assert out0.replace('"seed": 0', '"seed": 31337') == out1
+
+
+def test_report_identical_under_python_O():
+    """``python -O`` strips asserts: the report must not depend on them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "endotriv.cli", "analyze",
+             "--group", "A5", "--seed", "5"],
+            capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["group"] == "A5"
+    assert outs[0] == outs[1]
 
 
 def test_analyze_text_format(capsys):

@@ -211,14 +211,14 @@ def test_gauss_rank_transpose(f):
             assert r.rref.a[row, col] == 1
 
 
-def _scalar_kernel(f, res, ncols):
-    """Kernel basis built one entry at a time from the RREF."""
-    free = [j for j in range(ncols) if j not in res.pivots]
+def _scalar_kernel(f, pivots, rref, ncols):
+    """Kernel basis built one entry at a time from an RREF."""
+    free = [j for j in range(ncols) if j not in pivots]
     kern = np.zeros((len(free), ncols), dtype=np.int64)
     for i, fc in enumerate(free):
         kern[i, fc] = 1
-        for k, pv in enumerate(res.pivots):
-            kern[i, pv] = f.neg(int(res.rref.a[k, fc]))
+        for k, pv in enumerate(pivots):
+            kern[i, pv] = f.neg(int(rref[k][fc]))
     return kern
 
 
@@ -235,7 +235,89 @@ def test_gauss_kernel_matches_scalar_construction(pe, n, m, seed):
         a[-1] = a[0]
     res = gauss(FMatrix(f, a.astype(f.dtype)))
     assert res.kernel.a.dtype == f.dtype
-    assert res.kernel.a.tolist() == _scalar_kernel(f, res, m).tolist()
+    assert res.kernel.a.tolist() == _scalar_kernel(f, res.pivots, res.rref.a, m).tolist()
+
+
+def _scalar_rref(f, a):
+    """Gauss-Jordan one field operation at a time (f.mul, f.sub, f.inv):
+    leftmost pivot column, first nonzero row from the current one down."""
+    rows = [[int(x) for x in r] for r in a]
+    pivots = []
+    row = 0
+    for col in range(a.shape[1]):
+        piv = next((i for i in range(row, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        inv = f.inv(rows[row][col])
+        rows[row] = [f.mul(inv, x) for x in rows[row]]
+        for i in range(len(rows)):
+            fac = rows[i][col]
+            if i != row and fac:
+                rows[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(rows[i], rows[row])]
+        pivots.append(col)
+        row += 1
+    return pivots, rows
+
+
+def _gauss_input(f, kind, n, m, rng):
+    """Test matrices shaped like the elimination's callers."""
+    q = f.q
+    if kind == "stacked":
+        # [A - I; B - I; ...] as fixed_point_rows builds it, from monomial
+        # (permutation times units) and random square blocks
+        blocks = []
+        for b in range(1 + m % 3):
+            if b % 2 == 0:
+                g = np.zeros((n, n), dtype=np.int64)
+                g[np.arange(n), rng.permutation(n)] = rng.integers(1, q, size=n)
+            else:
+                g = rng.integers(0, q, size=(n, n))
+            blocks.append(f.sub_vec(g, np.eye(n, dtype=np.int64)))
+        return np.vstack(blocks)
+    a = rng.integers(0, q, size=(n, m))
+    if kind == "sparse":
+        a[rng.random(size=(n, m)) < 0.75] = 0
+    elif kind == "repeated" and n >= 2:
+        a[rng.integers(0, n, size=n // 2)] = a[rng.integers(0, n, size=n // 2)]
+    elif kind == "low_rank":
+        k = int(rng.integers(0, min(n, m) + 1))
+        a = f.matmul(rng.integers(0, q, size=(n, k)), rng.integers(0, q, size=(k, m)))
+    return a
+
+
+@given(st.sampled_from([(2, 2), (2, 6), (2, 9), (3, 1), (5, 2)]),
+       st.sampled_from(["stacked", "sparse", "repeated", "low_rank", "random"]),
+       st.integers(0, 9), st.integers(0, 9), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_gauss_matches_scalar_gauss_jordan(pe, kind, n, m, seed):
+    f = field_make(*pe)
+    a = _gauss_input(f, kind, n, m, np.random.default_rng(seed)).astype(f.dtype)
+    M = FMatrix(f, a)
+    before = M.a.copy()
+    res = gauss(M)
+    pivots, rows = _scalar_rref(f, a)
+    assert np.array_equal(M.a, before)
+    assert res.rank == len(pivots)
+    assert res.pivots == tuple(pivots)
+    assert res.rref.a.dtype == f.dtype and res.rref.a.shape == a.shape
+    assert res.rref.a.tolist() == rows
+    assert res.kernel.a.dtype == f.dtype
+    assert res.kernel.a.tolist() == _scalar_kernel(f, pivots, rows, a.shape[1]).tolist()
+
+
+def test_pow_vec_matches_pow(f):
+    a = np.arange(f.q)
+    for n in range(-3, f.q + 2):
+        if n < 0:
+            with pytest.raises(ZeroDivisionError):
+                f.pow(0, n)
+            with pytest.raises(ZeroDivisionError):
+                f.pow_vec(a, n)
+            a_n = a[1:]
+        else:
+            a_n = a
+        assert f.pow_vec(a_n, n).tolist() == [f.pow(int(x), n) for x in a_n]
 
 
 def test_gauss_on_identity_and_zero(f):

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from endotriv.etk import bq_character
 from endotriv.ffla import FMatrix, field_make, gauss
 from endotriv.grp import GroupTable, PermOps
 from endotriv.modrep import (InducedContext, ModuleRep, _maximal_subgroups,
@@ -229,6 +230,21 @@ def test_brauer_action_scalar_trivial():
         N = G.normalizer(P)
         if g in N:
             assert bq.action_scalar(g) == 1
+
+
+def test_brauer_action_scalar_needs_dimension_one():
+    # the trivial module of dimension 2: every trace from a maximal subgroup
+    # of P is 2 = 0, so the quotient at P is all of it
+    G = a5()
+    f = field_make(2, 2)
+    two = ModuleRep(G, f, [FMatrix.identity(f, 2) for _ in G.gens])
+    P = G.sylow(2)
+    bq = brauer_quotient(two, P, 2)
+    assert bq.dim == 2
+    with pytest.raises(ValueError, match="1-dimensional"):
+        bq.action_scalar(0)
+    with pytest.raises(RuntimeError, match="dim 2, expected 1"):
+        bq_character(two, P, 2, None, [])
 
 
 # -- induction ----------------------------------------------------------------
