@@ -71,8 +71,11 @@ def report_dict(res: KReport, group_name: str, seed: int,
 
 def run(config: RunConfig) -> tuple[dict, int]:
     """Full analysis; returns the report and the process exit code."""
-    table, entry = build_group(config.group)
     p = config.prime
+    # field_make rejects a non-prime p and a degree below 1; checked before
+    # the group is built, where a non-prime p would stall the Sylow search
+    field_make(p, 1 if config.field_degree is None else config.field_degree)
+    table, entry = build_group(config.group)
     if table.order % p != 0:
         raise ValueError(f"prime {p} does not divide the group order "
                          f"{table.order}")

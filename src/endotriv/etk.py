@@ -222,7 +222,8 @@ def _invariants_from_elements(elems: list, scale_to_zero) -> tuple[int, ...]:
             r = 0
             while p**r < ratio:
                 r += 1
-            assert p**r == ratio
+            if p**r != ratio:
+                raise RuntimeError(f"layer ratio {ratio} is not a power of {p}")
             # r components have exponent >= k
             while len(exps) < r:
                 exps.append(0)
@@ -458,7 +459,8 @@ def compute_K(table: GroupTable, p: int, f: FieldTable, seed: int = 0
                    for k, gi in enumerate(gen_amb)):
                 match = mu
                 break
-        assert match is not None, "restriction of a G-character not found in X(N)"
+        if match is None:
+            raise RuntimeError("restriction of a G-character not found in X(N)")
         x_image.append(match.exps)
     x_image = list(dict.fromkeys(x_image))
 

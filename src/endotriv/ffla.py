@@ -103,13 +103,15 @@ class FieldTable:
     """
 
     def __init__(self, p: int, e: int, poly: Optional[tuple[int, ...]] = None):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
+        if p <= MAX_Q and not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        # p >= 2 from here, so a huge p or e fails on size before any trial
+        # division or big power is computed
+        if p > MAX_Q or e >= MAX_Q.bit_length() or p**e > MAX_Q:
+            raise ValueError(f"field size {p}^{e} exceeds {MAX_Q}")
         q = p**e
-        if q > MAX_Q:
-            raise ValueError(f"field size {q} exceeds {MAX_Q}")
         self.p = p
         self.e = e
         self.q = q

@@ -3,8 +3,10 @@
 Groups are enumerated fully (breadth-first over right multiplication, capped
 at 2*10^4 elements) and every element gets an integer index; index 0 is the
 identity.  Elements are permutation tuples or matrix code arrays, abstracted
-behind small ops objects.  All subgroup computations work on index sets of
-the ambient enumerated group.
+behind small ops objects.  Their raw product serves the enumeration only:
+every later product and inverse goes through the Cayley right-edges recorded
+while enumerating (the raw inverse is kept as a test reference).
+All subgroup computations work on index sets of the ambient enumerated group.
 """
 from __future__ import annotations
 
@@ -30,8 +32,6 @@ ENUM_CAP = 20000
 
 class PermOps:
     """Permutations of {0..degree-1} stored as image tuples (left action)."""
-
-    direct_mul = True
 
     def __init__(self, degree: int):
         self.degree = degree
@@ -59,10 +59,6 @@ class PermOps:
 class MatOps:
     """Invertible dim x dim matrices over a FieldTable, stored as code arrays."""
 
-    # raw products cost a field matmul, so the table multiplies through
-    # cached Cayley edges instead
-    direct_mul = False
-
     def __init__(self, field: FieldTable, dim: int):
         self.field = field
         self.dim = dim
@@ -87,7 +83,9 @@ class GroupTable:
     """A fully enumerated finite group with generator words.
 
     elements[i] is the raw element, index 0 the identity, and word(i) gives a
-    product of generator indices evaluating to elements[i].
+    product of generator indices evaluating to elements[i].  The enumeration
+    records the Cayley right-edges (index of elements[i] * gens[g]), and
+    mul and inv work on indices through them alone.
     """
 
     def __init__(self, ops, gens: Sequence, cap: int = ENUM_CAP):
@@ -98,71 +96,55 @@ class GroupTable:
         self.index = {ops.key(ident): 0}
         self._parent = [-1]
         self._genidx = [-1]
+        # _edges[i][g] = index of elements[i] * gens[g]; the queue visits
+        # indices in the order they were found, so row i is appended i-th
+        self._edges: list[list[int]] = []
         queue = [0]
         while queue:
             nxt = []
             for i in queue:
                 x = self.elements[i]
+                row = []
                 for gi, g in enumerate(self.gens):
                     y = ops.mul(x, g)
                     k = ops.key(y)
-                    if k not in self.index:
+                    j = self.index.get(k)
+                    if j is None:
                         if len(self.elements) >= cap:
                             raise ValueError(f"group enumeration exceeded cap {cap}")
-                        self.index[k] = len(self.elements)
+                        j = self.index[k] = len(self.elements)
                         self.elements.append(y)
                         self._parent.append(i)
                         self._genidx.append(gi)
-                        nxt.append(self.index[k])
+                        nxt.append(j)
+                    row.append(j)
+                self._edges.append(row)
             queue = nxt
         self.n = len(self.elements)
         self.gen_idx = [self.index[ops.key(g)] for g in self.gens]
         self._inv: Optional[list[int]] = None
         self._orders: Optional[list[int]] = None
         self._classes: Optional[list[list[int]]] = None
-        self._redge: Optional[np.ndarray] = None
 
     # -- element access -------------------------------------------------------
 
     def idx(self, raw) -> int:
         return self.index[self.ops.key(raw)]
 
-    def _edges(self) -> np.ndarray:
-        """Cayley right-edges: _edges()[i, g] = index of elements[i] * gens[g]."""
-        if self._redge is None:
-            ops = self.ops
-            arr = np.empty((self.n, len(self.gens)), dtype=np.int32)
-            for a in range(self.n):
-                x = self.elements[a]
-                for gi, g in enumerate(self.gens):
-                    arr[a, gi] = self.index[ops.key(ops.mul(x, g))]
-            self._redge = arr
-        return self._redge
-
     def mul(self, i: int, j: int) -> int:
-        if self.ops.direct_mul:
-            return self.index[self.ops.key(
-                self.ops.mul(self.elements[i], self.elements[j]))]
-        edges = self._edges()
-        out = i
+        edges = self._edges
         for g in self.word(j):
-            out = int(edges[out, g])
-        return out
+            i = edges[i][g]
+        return i
 
     def inv(self, i: int) -> int:
         if self._inv is None:
-            if self.ops.direct_mul:
-                inv = [0] * self.n
-                for a in range(self.n):
-                    inv[a] = self.index[self.ops.key(self.ops.inv(self.elements[a]))]
-            else:
-                # inv(parent * g) = inv(g) * inv(parent); elements are listed
-                # in enumeration order, so parents resolve before children
-                ginv = [self.power(gi, self.order_of(gi) - 1)
-                        for gi in self.gen_idx]
-                inv = [0] * self.n
-                for a in range(1, self.n):
-                    inv[a] = self.mul(ginv[self._genidx[a]], inv[self._parent[a]])
+            # inv(parent * g) = inv(g) * inv(parent); elements are listed in
+            # enumeration order, so parents resolve before children
+            ginv = [self.power(gi, self.order_of(gi) - 1) for gi in self.gen_idx]
+            inv = [0] * self.n
+            for a in range(1, self.n):
+                inv[a] = self.mul(ginv[self._genidx[a]], inv[self._parent[a]])
             self._inv = inv
         return self._inv[i]
 
@@ -344,7 +326,8 @@ class GroupTable:
                     break
             if not grown:
                 raise RuntimeError("sylow climb stalled")
-        assert len(cur) == pk
+        if len(cur) != pk:
+            raise RuntimeError(f"sylow climb overshot: {len(cur)} != {pk}")
         return sorted(cur)
 
     def o_pprime(self, p: int) -> frozenset[int]:
@@ -482,7 +465,8 @@ class GroupTable:
                 x = qmul(x, qpow(g, k))
             if x not in coords:
                 coords[x] = tup
-        assert len(coords) == len(pset)
+        if len(coords) != len(pset):
+            raise RuntimeError("abelian decomposition does not cover the p'-part")
         proj = np.zeros((self.n, len(orders)), dtype=np.int64)
         for x in range(self.n):
             comp = qpow(coset_of[x], s)

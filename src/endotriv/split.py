@@ -564,7 +564,8 @@ class HeckeEnd:
                          basis.T.astype(f.dtype))
         prods = prods.reshape(m, n, m).transpose(1, 0, 2).reshape(n, m * m)
         sol = solve_right(FMatrix(f, basis).T, FMatrix(f, prods))
-        assert sol is not None, "corner not closed under multiplication"
+        if sol is None:
+            raise RuntimeError("corner not closed under multiplication")
         coords = sol.a.astype(np.int64)  # m x (m*m), column i*m+j = b_i b_j
         return [np.ascontiguousarray(coords[:, i * m:(i + 1) * m])
                 for i in range(m)]
@@ -606,14 +607,16 @@ class HeckeEnd:
                     part = pmul(f, part, g0)
                 rest = pdivmod(f, mp, part)[0]
                 g, u, v = pxgcd(f, rest, part)
-                assert pdeg(g) == 0 and int(g[0]) == 1
+                if pdeg(g) != 0 or int(g[0]) != 1:
+                    raise RuntimeError("minimal polynomial factors are not coprime")
                 # idempotent: (u * rest) = 1 mod part, 0 mod rest
                 eps_poly = pmod(f, pmul(f, u, rest), mp)
                 eps = self._poly_at(eps_poly, x, e)
-                assert np.array_equal(self.mul(eps, eps), eps)
+                if not np.array_equal(self.mul(eps, eps), eps):
+                    raise RuntimeError("split element is not idempotent")
                 other = f.sub_vec(e, eps).astype(np.int64)
-                assert np.array_equal(self.mul(eps, other),
-                                      np.zeros(self.dim_alg, dtype=np.int64))
+                if self.mul(eps, other).any():
+                    raise RuntimeError("split idempotents are not orthogonal")
                 return (self._split_corner(eps, rng, tries)
                         + self._split_corner(other, rng, tries))
             g0, _ = fac[0]
@@ -629,7 +632,8 @@ class HeckeEnd:
         total = np.zeros(self.dim_alg, dtype=np.int64)
         for e in prims:
             total = self.f.add_vec(total, e).astype(np.int64)
-        assert np.array_equal(total, self.unit)
+        if not np.array_equal(total, self.unit):
+            raise RuntimeError("primitive idempotents do not sum to the unit")
         return prims
 
 
@@ -661,12 +665,15 @@ def split_summands(ctx: InducedContext, lam: LinearCharacter,
         mats = []
         for g in induced.gen_mats:
             sol = solve_right(C, g @ C)
-            assert sol is not None, "summand basis not invariant"
+            if sol is None:
+                raise RuntimeError("summand basis not invariant")
             mats.append(sol)
         rep = ModuleRep(induced.table, f, mats)
         out.append(Summand(rep, red.rank, e, C))
         total += red.rank
-    assert total == induced.dim
+    if total != induced.dim:
+        raise RuntimeError(f"summand dimensions add to {total}, "
+                           f"expected {induced.dim}")
     order = sorted(range(len(out)), key=lambda i: (out[i].dim,
                                                    out[i].idem.tobytes()))
     return [out[i] for i in order]
@@ -834,7 +841,8 @@ def is_irreducible(f: FieldTable, mats: Sequence[FMatrix], rng: random.Random
             if spant.dim < n:
                 # annihilator of the dual-side submodule is invariant
                 ann = gauss(spant.matrix()).kernel
-                assert 0 < ann.a.shape[0] < n
+                if not 0 < ann.a.shape[0] < n:
+                    raise RuntimeError("dual annihilator is not a proper subspace")
                 return False, ann
         return True, None
     raise RuntimeError("no usable singular element found")
@@ -863,7 +871,8 @@ def chop(f: FieldTable, mats: Sequence[FMatrix], rng: random.Random
     subs, quots = [], []
     for m in mats:
         mm = (Pinv @ m @ P).a
-        assert not mm[r:, :r].any(), "invariant subspace not respected"
+        if mm[r:, :r].any():
+            raise RuntimeError("invariant subspace not respected")
         subs.append(FMatrix(f, np.ascontiguousarray(mm[:r, :r])))
         quots.append(FMatrix(f, np.ascontiguousarray(mm[r:, r:])))
     return chop(f, subs, rng) + chop(f, quots, rng)

@@ -19,6 +19,14 @@ def run_main(capsys, *argv):
     return code, out.out, out.err
 
 
+def src_env():
+    """The environment for a subprocess that imports endotriv from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_list_text(capsys):
     code, out, err = run_main(capsys, "list")
     assert code == 0
@@ -77,19 +85,53 @@ def test_reports_identical_across_seeds(capsys):
 
 def test_report_identical_under_python_O():
     """``python -O`` strips asserts: the report must not depend on them."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "endotriv.cli", "analyze",
              "--group", "A5", "--seed", "5"],
-            capture_output=True, env=env, timeout=300)
+            capture_output=True, env=src_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(proc.stdout)
     assert json.loads(outs[0])["group"] == "A5"
     assert outs[0] == outs[1]
+
+
+LYING_CHOP = """
+import random
+from endotriv import split
+from endotriv.ffla import FMatrix, field_make
+
+f = field_make(2, 1)
+real = split.is_irreducible
+lied = []
+
+
+def lying(f, mats, rng):
+    # the first call offers the line through (1, 0), which the swap moves
+    if not lied:
+        lied.append(True)
+        return False, FMatrix(f, [[1, 0]])
+    return real(f, mats, rng)
+
+
+split.is_irreducible = lying
+try:
+    split.chop(f, [FMatrix(f, [[0, 1], [1, 0]])], random.Random(0))
+except RuntimeError as exc:
+    print(__debug__, exc)
+else:
+    print(__debug__, "returned factors")
+"""
+
+
+def test_corrupted_chop_fails_under_python_O():
+    """An invariant check must not be an assert: chop fed a subspace that is
+    not invariant still raises with asserts stripped."""
+    proc = subprocess.run([sys.executable, "-O", "-c", LYING_CHOP],
+                          capture_output=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "False invariant subspace not respected\n"
 
 
 def test_analyze_text_format(capsys):
@@ -155,6 +197,46 @@ def test_prime_not_dividing_order_exit_1(capsys):
                               "--prime", "7")
     assert code == 1
     assert "divide" in err
+
+
+HOSTILE_FIELD_ARGS = [
+    (["--prime", "1"], "p = 1 is not prime"),
+    (["--prime", "0"], "p = 0 is not prime"),
+    (["--prime", "4"], "p = 4 is not prime"),
+    (["--field-degree", "0"], "extension degree must be >= 1"),
+    (["--prime", "2305843009213693951"], "exceeds"),
+    (["--field-degree", "1000000000"], "exceeds"),
+]
+
+
+@pytest.mark.parametrize("argv,msg", HOSTILE_FIELD_ARGS,
+                         ids=["=".join(a).lstrip("-") for a, _ in HOSTILE_FIELD_ARGS])
+def test_hostile_field_arguments_exit_1(capsys, monkeypatch, argv, msg):
+    """A bad p or field degree exits 1 with one line before any group is
+    built."""
+    built = []
+
+    def spy(source):
+        built.append(source)
+        raise RuntimeError("group built before the field arguments were checked")
+
+    monkeypatch.setattr(cli, "build_group", spy)
+    code, out, err = run_main(capsys, "analyze", "--group", "A5", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and msg in err
+    assert built == []
+
+
+def test_prime_one_exits_in_subprocess():
+    """--prime 1 once looped forever in the Sylow search; the subprocess
+    timeout turns a hang into a failure."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "endotriv.cli", "analyze", "--group", "A5",
+         "--prime", "1"], capture_output=True, env=src_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: p = 1 is not prime\n"
 
 
 def test_odd_prime_k_only_caveat(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endotriv import catalog
 from endotriv.ffla import field_make
 from endotriv.grp import (GroupTable, MatOps, PermOps, parse_group_file,
                           serialize_group_file)
@@ -86,16 +87,42 @@ def test_words_evaluate_to_elements():
         assert acc == i
 
 
-def test_matrix_group_edge_mul_matches_raw():
-    G = q8()
+def pgl25():
+    return catalog.lookup("PGL(2,5)").builder()
+
+
+def check_edges_against_raw(G, right=None):
+    """Recorded edges, every inv(i) and mul(i, j) for every i and every j in
+    right (default: all of G) against the raw ops products."""
     ops = G.ops
-    for i in range(G.order):
-        for j in range(G.order):
-            raw = G.index[ops.key(ops.mul(G.elements[i], G.elements[j]))]
-            assert G.mul(i, j) == raw
-    for i in range(G.order):
-        raw = G.index[ops.key(ops.inv(G.elements[i]))]
-        assert G.inv(i) == raw
+
+    def raw_mul(a, b):
+        return G.idx(ops.mul(a, b))
+
+    for i, x in enumerate(G.elements):
+        assert G._edges[i] == [raw_mul(x, g) for g in G.gens]
+        assert G.inv(i) == G.idx(ops.inv(x))
+    for j in range(G.order) if right is None else right:
+        y = G.elements[j]
+        for i, x in enumerate(G.elements):
+            assert G.mul(i, j) == raw_mul(x, y)
+
+
+@pytest.mark.parametrize("builder", [q8, s4, a5, pgl25])
+def test_edge_mul_matches_raw(builder):
+    check_edges_against_raw(builder())
+
+
+@given(st.integers(1, 7), st.data())
+@settings(max_examples=30, deadline=None)
+def test_random_perm_edge_mul_matches_raw(degree, data):
+    gens = [tuple(data.draw(st.permutations(range(degree))))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    G = GroupTable(PermOps(degree), gens)
+    # up to |S_7| = 5040 elements: every left factor, eight right factors
+    right = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1,
+                               max_size=8))
+    check_edges_against_raw(G, right)
 
 
 def test_cap_enforced():
