@@ -9,9 +9,12 @@ The log-sum of two units stays below 2(q-1), and any sum involving a zero
 lands at 2(q-1) or above, so every product, scalar or broadcast, is the one
 lookup exp[log[a] + log[b]] with no zero mask and no reduction.  The tables
 hold about 5q entries, 1 MiB at the largest field q = 2^16, so this one path
-serves every field size.  Matrix products are digit-sliced into float64
-BLAS calls, which is exact as long as dim * (p-1)^2 * e < 2^53.  For GF(2)
-matrices the rows are bit-packed into Python ints.
+serves every field size.  Matrix products for q > 2 pack the digits of each
+code, in blocks of t, s bits apart into one float64 (Kronecker
+substitution), so one BLAS call per pair of blocks yields every
+digit-product coefficient; that is exact while (2t-1) * s <= 53 with
+2^s > k * t * (p-1)^2 for inner dimension k, and t shrinks as k grows.  For
+GF(2) matrices the rows are bit-packed into Python ints.
 
 Row reduction (``gauss``) for q > 2 works in the field dtype (uint8/uint16)
 with no int64 copy.  Each pivot updates only the columns from the pivot
@@ -139,6 +142,7 @@ class FieldTable:
         self.gen = int(self.exp[1])
         self._red = self._reduction_table()
         self._embed_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._packings: dict[int, np.ndarray] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -306,44 +310,95 @@ class FieldTable:
 
     # -- matrix product -------------------------------------------------------
 
-    def _digits_f64(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        out = np.empty((self.e,) + a.shape, dtype=np.float64)
-        pk = 1
-        for i in range(self.e):
-            out[i] = (a // pk) % self.p
-            pk *= self.p
-        return out
+    def _packing(self, t: int) -> np.ndarray:
+        """Gather table for ``matmul`` with t digits per block:
+        enc[b, code] = sum_i d_(b*t+i) * 2^(s*i) for the digits d of code and
+        the slot width s = 53 // (2t-1), one row per block of t digits."""
+        enc = self._packings.get(t)
+        if enc is None:
+            s = 53 // (2 * t - 1)
+            codes = np.arange(self.q)
+            enc = np.zeros((-(-self.e // t), self.q))
+            for i in range(self.e):
+                enc[i // t] += (codes // self.p**i % self.p) * 2.0 ** (s * (i % t))
+            self._packings[t] = enc
+        return enc
+
+    def _mod_p(self, x: np.ndarray) -> None:
+        if self.p == 2:
+            x &= 1
+        else:
+            x %= self.p
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix product of code arrays.
+
+        GF(2) runs on bit-packed rows.  Every other field uses Kronecker
+        substitution: each code's digits, in blocks of t, are packed s bits
+        apart into one float64 (``_packing``), so one float64 BLAS product of
+        two packed blocks holds every digit-product coefficient
+        sum_(i+j=m) a_i b_j of those blocks in its own s-bit slot m.  A slot
+        sums at most t digit products over the inner dimension k, so it holds
+        at most k*t*(p-1)^2.  The product is exact while that is below 2^s
+        and the 2t-1 slots fit the float64 mantissa, (2t-1)*s <= 53: s is
+        53 // (2t-1), t is the largest digit count with k*t*(p-1)^2 < 2^s,
+        and the e digits split into ceil(e/t) blocks, ceil(e/t)^2 BLAS calls
+        in all (one for GF(4) up to k = 65535, nine for GF(64) at k = 729).
+        The slots are read back as integers by shift and mask, and the
+        coefficients of x^m for m >= e are folded in by the reduction table.
+        An inner dimension with k*(p-1)^2 >= 2^53 is split in halves.
+        """
         a = np.asarray(a)
         b = np.asarray(b)
         if a.shape[1] != b.shape[0]:
             raise ValueError("matmul shape mismatch")
-        if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-            return np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
+        rows, k = a.shape
+        cols = b.shape[1]
+        if rows == 0 or cols == 0 or k == 0:
+            return np.zeros((rows, cols), dtype=self.dtype)
         if self.q == 2:
             ar = gf2.pack_rows(a)
             br = gf2.pack_rows(b)
-            return gf2.unpack_rows(gf2.mul_packed(ar, br), b.shape[1]).astype(self.dtype)
+            return gf2.unpack_rows(gf2.mul_packed(ar, br), cols).astype(self.dtype)
         p, e = self.p, self.e
-        da = self._digits_f64(a)
-        db = self._digits_f64(b)
-        parts = np.zeros((2 * e - 1, a.shape[0], b.shape[1]), dtype=np.float64)
+        sq = (p - 1) ** 2  # the largest digit product
+        if k * sq >= 1 << 53:
+            h = k // 2
+            return self.add_vec(self.matmul(a[:, :h], b[:h]), self.matmul(a[:, h:], b[h:]))
+        t = next(t for t in range(e, 0, -1) if k * t * sq < 1 << (53 // (2 * t - 1)))
+        s = 53 // (2 * t - 1)
+        enc = self._packing(t)
+        pa = enc[:, a]
+        pb = enc[:, b]
+        # coef[m]: the coefficient of x^m in the digit-polynomial product
+        coef = [None] * (2 * e - 1)
+        for i in range(len(enc)):
+            for j in range(len(enc)):
+                prod = (pa[i] @ pb[j]).astype(np.int64)
+                top = min(t, e - i * t) + min(t, e - j * t) - 2
+                # top slot first: slot 0 is then masked in place in prod
+                for m in range(top, -1, -1):
+                    slot = prod >> (s * m) if m else prod
+                    if m < top:
+                        slot &= (1 << s) - 1
+                    d = (i + j) * t + m
+                    if coef[d] is None:
+                        coef[d] = slot
+                    else:
+                        coef[d] += slot
+        for m in range(e, 2 * e - 1):
+            self._mod_p(coef[m])
+        out = coef[0]
         for i in range(e):
-            for j in range(e):
-                parts[i + j] += da[i] @ db[j]
-        parts %= p
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        pk = 1
-        for k in range(e):
-            ck = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-            for m in range(2 * e - 1):
-                r = int(self._red[m, k])
+            ci = coef[i]
+            for m in range(e, 2 * e - 1):
+                r = int(self._red[m, i])
                 if r:
-                    ck += r * parts[m].astype(np.int64)
-            out += (ck % p) * pk
-            pk *= p
+                    ci += r * coef[m] if r > 1 else coef[m]
+            self._mod_p(ci)
+            if i:
+                ci *= p**i
+                out += ci
         return out.astype(self.dtype)
 
     # -- subfield embedding ---------------------------------------------------
@@ -597,11 +652,8 @@ def kron(A: FMatrix, B: FMatrix) -> FMatrix:
     f = A.field
     ra, ca = A.shape
     rb, cb = B.shape
-    out = f.mul_vec(
-        np.repeat(np.repeat(A.a.astype(np.int64), rb, axis=0), cb, axis=1),
-        np.tile(B.a.astype(np.int64), (ra, ca)),
-    )
-    return FMatrix(f, out)
+    out = f.exp[f.log[A.a][:, None, :, None] + f.log[B.a][None, :, None, :]]
+    return FMatrix(f, out.reshape(ra * rb, ca * cb))
 
 
 def solve_right(A: FMatrix, B: FMatrix) -> Optional[FMatrix]:

@@ -605,6 +605,8 @@ def _parse_cycles(line: str, degree: int) -> tuple[int, ...]:
             raise ValueError(f"repeated point in {part!r}")
         for i, x in enumerate(pts):
             img[x] = pts[(i + 1) % len(pts)]
+    if len(set(img)) != degree:
+        raise ValueError(f"cycle line is not a permutation: {line.strip()!r}")
     return tuple(img)
 
 
@@ -646,6 +648,9 @@ def parse_group_file(text: str) -> tuple[object, list]:
                 else:
                     codes[i] = f.exp[(t - 1) % (f.q - 1)]
             gens.append(codes.reshape(dim, dim))
+            # a singular matrix has no inverse, so its powers never reach 1
+            if FMatrix(f, gens[-1]).rank() < dim:
+                raise ValueError(f"singular matrix generator: {ln!r}")
     else:
         raise ValueError(f"unknown header {head[0]!r}")
     if not gens:

@@ -43,7 +43,9 @@ class LinearCharacter:
 
     def __init__(self, ntable: GroupTable, ab: AbelianPPrime, field: FieldTable,
                  exps: Sequence[int]):
-        assert len(exps) == len(ab.orders)
+        if len(exps) != len(ab.orders):
+            raise ValueError(f"{len(exps)} exponents for {len(ab.orders)} "
+                             f"invariant factors")
         self.ntable = ntable
         self.ab = ab
         self.field = field
@@ -95,7 +97,9 @@ class ModuleRep:
 
     def __init__(self, table: GroupTable, field: FieldTable,
                  gen_mats: Sequence[FMatrix]):
-        assert len(gen_mats) == len(table.gens)
+        if len(gen_mats) != len(table.gens):
+            raise ValueError(f"{len(gen_mats)} matrices for {len(table.gens)} "
+                             f"generators")
         self.table = table
         self.field = field
         self.gen_mats = list(gen_mats)
@@ -123,7 +127,8 @@ class ModuleRep:
         return ModuleRep(sub, self.field, mats)
 
     def tensor(self, other: "ModuleRep") -> "ModuleRep":
-        assert self.table is other.table
+        if self.table is not other.table:
+            raise ValueError("tensor of modules over different group tables")
         mats = [kron(a, b) for a, b in zip(self.gen_mats, other.gen_mats)]
         return ModuleRep(self.table, self.field, mats)
 
@@ -161,7 +166,9 @@ class InducedContext:
         self.G = G
         self.n_indices = sorted(n_indices)
         self.ntable = subgroup_table(G, self.n_indices)
-        assert self.ntable.order == len(self.n_indices)
+        if self.ntable.order != len(self.n_indices):
+            raise RuntimeError(f"the {len(self.n_indices)} indices generate a "
+                               f"subgroup of order {self.ntable.order}")
         # map G-index -> N-table index
         self.g2n = np.full(G.order, -1, dtype=np.int64)
         for i in self.n_indices:
@@ -241,7 +248,8 @@ class InducedContext:
     def induce(self, lam: LinearCharacter) -> ModuleRep:
         """Module of lambda induced up to G; dim = [G:N], permutation-like
         matrices with lambda-values as entries."""
-        assert lam.ntable is self.ntable
+        if lam.ntable is not self.ntable:
+            raise ValueError("character of another subgroup table")
         f = lam.field
         mats = []
         for gidx in self.G.gen_idx:

@@ -134,6 +134,32 @@ def test_corrupted_chop_fails_under_python_O():
     assert proc.stdout.decode() == "False invariant subspace not respected\n"
 
 
+NOT_A_SUBGROUP = """
+from endotriv.grp import GroupTable, PermOps
+from endotriv.modrep import InducedContext
+
+G = GroupTable(PermOps(4), [(1, 2, 3, 0), (1, 0, 2, 3)])
+# the identity and a 3-cycle: two indices generating a subgroup of order 3
+three = next(i for i in range(G.order) if G.order_of(i) == 3)
+try:
+    InducedContext(G, [0, three])
+except RuntimeError as exc:
+    print(__debug__, exc)
+else:
+    print(__debug__, "built a context")
+"""
+
+
+def test_induced_context_checks_subgroup_under_python_O():
+    """The subgroup-order invariant is not an assert: it still fires with
+    asserts stripped."""
+    proc = subprocess.run([sys.executable, "-O", "-c", NOT_A_SUBGROUP],
+                          capture_output=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == \
+        "False the 2 indices generate a subgroup of order 3\n"
+
+
 def test_analyze_text_format(capsys):
     code, out, err = run_main(capsys, "analyze", "--group", "A4",
                               "--format", "text", "--check-theorem")
@@ -237,6 +263,25 @@ def test_prime_one_exits_in_subprocess():
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert proc.stderr.decode() == "error: p = 1 is not prime\n"
+
+
+@pytest.mark.parametrize("text,argv,msg", [
+    ("perm 3\n(1 2)(1 3)\n", ["--prime", "3"],
+     "error: cycle line is not a permutation: '(1 2)(1 3)'\n"),
+    ("mat 2 1 2\n1 0 0 0\n", [],
+     "error: singular matrix generator: '1 0 0 0'\n"),
+], ids=["overlapping_cycles", "singular_matrix"])
+def test_non_invertible_generator_exits_in_subprocess(tmp_path, text, argv, msg):
+    """Both files once hung (an element whose powers never reach the
+    identity); the subprocess timeout turns a hang into a failure."""
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "endotriv.cli", "analyze", "--group", str(path),
+         *argv], capture_output=True, env=src_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == msg
 
 
 def test_odd_prime_k_only_caveat(capsys):

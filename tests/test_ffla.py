@@ -192,6 +192,75 @@ def test_matmul_against_naive(f):
         assert np.array_equal(f.matmul(A, B), _naive_matmul(f, A, B).astype(f.dtype))
 
 
+# every field in FIELDS, plus GF(2^9) (uint16 codes), GF(25) and GF(3)
+MATMUL_FIELDS = sorted(set(FIELDS) | {(2, 9), (5, 2), (3, 1)})
+
+
+def _block_switches(pe, kmax=1 << 17):
+    """Inner dimensions k on each side of every change of t, the digits per
+    packed block in ``matmul``: t is the largest with
+    (2t-1) * bitlen(k t (p-1)^2) <= 53, and the last k allowing t is
+    (2^s - 1) // (t (p-1)^2) for s = 53 // (2t-1)."""
+    p, e = pe
+    ks = {1}
+    for t in range(1, e + 1):
+        last = ((1 << 53 // (2 * t - 1)) - 1) // (t * (p - 1) ** 2)
+        if 1 <= last < kmax:
+            ks |= {last, last + 1}
+    return sorted(ks)
+
+
+def _dot_oracle(f, A, B):
+    """The product as one field sum of elementwise field products."""
+    return f.sum_vec(f.mul_vec(A[:, :, None], B[None]), axis=1)
+
+
+@given(st.sampled_from(MATMUL_FIELDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_matmul_matches_dot_oracle_at_block_switches(pe, data):
+    """Random entries, and every entry the all-(p-1)-digit code q-1, which
+    fills each packed slot to its largest value."""
+    f = field_make(*pe)
+    k = data.draw(st.sampled_from(_block_switches(pe)), label="k")
+    side = 6 if k <= 64 else 2
+    m = data.draw(st.integers(1, side), label="m")
+    n = data.draw(st.integers(1, side), label="n")
+    if data.draw(st.booleans(), label="all_max"):
+        A = np.full((m, k), f.q - 1, dtype=f.dtype)
+        B = np.full((k, n), f.q - 1, dtype=f.dtype)
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        A = rng.integers(0, f.q, size=(m, k)).astype(f.dtype)
+        B = rng.integers(0, f.q, size=(k, n)).astype(f.dtype)
+    got = f.matmul(A, B)
+    assert got.dtype == f.dtype
+    assert np.array_equal(got, _dot_oracle(f, A, B))
+
+
+@pytest.mark.parametrize("pe", MATMUL_FIELDS, ids=lambda pe: f"gf{pe[0]}^{pe[1]}")
+def test_matmul_all_max_at_every_block_switch(pe):
+    f = field_make(*pe)
+    for k in _block_switches(pe):
+        A = np.full((2, k), f.q - 1, dtype=f.dtype)
+        B = np.full((k, 2), f.q - 1, dtype=f.dtype)
+        assert np.array_equal(f.matmul(A, B), _dot_oracle(f, A, B)), k
+
+
+def test_matmul_splits_an_inner_dimension_past_the_mantissa():
+    """GF(65521): one digit product per slot, and k (p-1)^2 >= 2^53 from
+    k = 2098177 on, where a single float64 dot product would round."""
+    f = field_make(65521, 1)
+    k = ((1 << 53) - 1) // (f.p - 1) ** 2 + 1
+    A = np.full((1, k), f.q - 1, dtype=f.dtype)
+    B = np.full((k, 1), f.q - 1, dtype=f.dtype)
+    # (-1)(-1) summed k times
+    assert f.matmul(A, B).tolist() == [[k % f.p]]
+    rng = np.random.default_rng(4)
+    A = rng.integers(0, f.q, size=(1, k)).astype(f.dtype)
+    B = rng.integers(0, f.q, size=(k, 1)).astype(f.dtype)
+    assert np.array_equal(f.matmul(A, B), _dot_oracle(f, A, B))
+
+
 def test_gauss_rank_transpose(f):
     q = f.p ** f.e
     rng = np.random.default_rng(11)

@@ -347,6 +347,20 @@ def test_parse_rejects_garbage():
         parse_group_file("frob 3\n(0 1)")
 
 
+@pytest.mark.parametrize("text,msg", [
+    ("perm 3\n(1 2)(1 3)", "not a permutation"),
+    ("perm 4\n(1 2)\n(1 2 3)(3 4)", "not a permutation"),
+    ("mat 2 1 2\n1 0 0 0", "singular"),
+    ("mat 2 1 2\n0 0 0 0", "singular"),
+    ("mat 3 1 2\n1 0 0 1\n1 2 1 2", "singular"),
+])
+def test_parse_rejects_non_invertible_generators(text, msg):
+    """Overlapping cycles that do not compose to a bijection, and singular
+    matrices: neither has a power equal to the identity."""
+    with pytest.raises(ValueError, match=msg):
+        parse_group_file(text)
+
+
 @given(st.integers(2, 5), st.data())
 @settings(max_examples=25, deadline=None)
 def test_random_perm_groups_lagrange(degree, data):

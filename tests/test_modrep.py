@@ -282,6 +282,23 @@ def test_induced_module_is_homomorphism(a5ctx):
             assert col[0] == lam.value(ctx.ntable.idx(G.elements[n]))
 
 
+def test_calling_convention_errors(a5ctx):
+    G, P, ctx = a5ctx
+    f = field_make(2, 2)
+    ab = ctx.ntable.abelianization_pprime(2)
+    lam = character_group(ctx.ntable, ab, f)[1]
+    with pytest.raises(ValueError, match="exponents"):
+        type(lam)(ctx.ntable, ab, f, lam.exps + (0,))
+    rep = perm_module(G, field_make(2, 1))
+    with pytest.raises(ValueError, match="matrices for 2 generators"):
+        ModuleRep(G, rep.field, rep.gen_mats[:1])
+    with pytest.raises(ValueError, match="different group tables"):
+        rep.tensor(perm_module(a5(), rep.field))
+    other = InducedContext(G, ctx.n_indices)
+    with pytest.raises(ValueError, match="another subgroup table"):
+        other.induce(lam)
+
+
 def test_good_double_cosets(a5ctx):
     G, P, ctx = a5ctx
     f = field_make(2, 2)
