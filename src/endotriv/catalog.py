@@ -244,8 +244,20 @@ def _canon(name: str) -> str:
     return out
 
 
-_BY_KEY = {_canon(e.name): e for e in _ENTRIES}
-assert len(_BY_KEY) == len(_ENTRIES)
+def _index(ents: list[CatalogEntry]) -> dict[str, CatalogEntry]:
+    """Entries by canonical name; two names with one canonical form would
+    leave one of them unreachable."""
+    by_key: dict[str, CatalogEntry] = {}
+    for e in ents:
+        key = _canon(e.name)
+        if key in by_key:
+            raise RuntimeError(f"catalog names {by_key[key].name!r} and "
+                               f"{e.name!r} collide")
+        by_key[key] = e
+    return by_key
+
+
+_BY_KEY = _index(_ENTRIES)
 _BY_KEY["klein"] = _BY_KEY["c2c2"]
 
 

@@ -14,7 +14,10 @@ code, in blocks of t, s bits apart into one float64 (Kronecker
 substitution), so one BLAS call per pair of blocks yields every
 digit-product coefficient; that is exact while (2t-1) * s <= 53 with
 2^s > k * t * (p-1)^2 for inner dimension k, and t shrinks as k grows.  For
-GF(2) matrices the rows are bit-packed into Python ints.
+GF(2) matrices the rows are bit-packed into Python ints.  The same packed
+product, with coefficients in [0, N) in place of digits, multiplies matrices
+over the Galois rings (Z/p^j)[x]/(F), F the integer lift of the field's
+polynomial (``ring_matmul``).
 
 Row reduction (``gauss``) for q > 2 works in the field dtype (uint8/uint16)
 with no int64 copy.  Each pivot updates only the columns from the pivot
@@ -41,6 +44,10 @@ __all__ = [
 ]
 
 MAX_Q = 1 << 16
+
+# float64 holds every integer below 2^MANTISSA exactly; the packed products
+# keep every slot sum below it
+MANTISSA = 53
 
 # Anchor table of primitive polynomials, coefficients (c_0, ..., c_{e-1}) of
 # the monic polynomial x^e + c_{e-1} x^{e-1} + ... + c_0.  Every entry is
@@ -93,6 +100,24 @@ def _digits_to_code(digits: list[int], p: int) -> int:
     return code
 
 
+def _pack(c: np.ndarray, t: int, s: int) -> np.ndarray:
+    """Coefficient stack (e, ...) packed t to a float64, s bits apart:
+    block b holds sum_i c[b*t+i] * 2^(s*i), for ceil(e/t) blocks."""
+    out = c[::t].astype(float)
+    for i in range(1, t):
+        part = c[i::t]
+        out[: len(part)] += part * 2.0 ** (s * i)
+    return out
+
+
+def _mod(x: np.ndarray, N: int) -> None:
+    """x mod N in place, for nonnegative int64 x."""
+    if N & (N - 1):
+        x %= N
+    else:
+        x &= N - 1
+
+
 class FieldTable:
     """Arithmetic tables for GF(p^e).
 
@@ -140,9 +165,9 @@ class FieldTable:
         self.log = np.full(q, 2 * n, dtype=np.intp)
         self.log[powers] = np.arange(n)
         self.gen = int(self.exp[1])
-        self._red = self._reduction_table()
+        self._reds: dict[int, np.ndarray] = {}
         self._embed_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._packings: dict[int, np.ndarray] = {}
+        self._packings: dict[tuple[int, int], np.ndarray] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -178,24 +203,21 @@ class FieldTable:
             return None
         return powers
 
-    def _reduction_table(self) -> np.ndarray:
-        # red[m, k]: coefficient of x^k in (x^m mod poly), for m < 2e-1
-        p, e = self.p, self.e
-        red = np.zeros((2 * e - 1, e), dtype=np.int64)
-        for m in range(2 * e - 1):
-            if m < e:
-                red[m, m] = 1
-            else:
-                # x^m = x * x^(m-1)
-                prev = red[m - 1]
-                cur = np.zeros(e + 1, dtype=np.int64)
-                cur[1:] = prev
-                top = cur[e] % p
-                cur = cur[:e].copy()
-                if top:
-                    for i, c in enumerate(self.poly):
-                        cur[i] = (cur[i] - top * c) % p
-                red[m] = cur % p
+    def _reduction_table(self, N: int) -> np.ndarray:
+        """red[m, k]: the coefficient of x^k in x^m modulo F and N, for
+        m < 2e-1, F the monic integer lift of ``poly``; N = p gives the
+        field's own reduction."""
+        red = self._reds.get(N)
+        if red is None:
+            e = self.e
+            red = np.zeros((2 * e - 1, e), dtype=np.int64)
+            red[:e] = np.eye(e, dtype=np.int64)
+            for m in range(e, 2 * e - 1):
+                # x^m = x * x^(m-1), and x^e = -(c_0 + ... + c_(e-1) x^(e-1))
+                red[m, 1:] = red[m - 1, :-1]
+                red[m] -= red[m - 1, -1] * np.array(self.poly)
+                red[m] %= N
+            self._reds[N] = red
         return red
 
     # -- scalar ops -----------------------------------------------------------
@@ -277,11 +299,6 @@ class FieldTable:
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.exp[self.log[a] + self.log[b]]
 
-    def inv_vec(self, a: np.ndarray) -> np.ndarray:
-        if np.any(np.asarray(a) == 0):
-            raise ZeroDivisionError("inverse of zero")
-        return self.exp[self.q - 1 - self.log[a]]
-
     def pow_vec(self, a: np.ndarray, n: int) -> np.ndarray:
         """Elementwise a^n, as ``pow`` computes it: 0^0 = 1, 0^n = 0 for
         n > 0, and ZeroDivisionError for a zero entry when n < 0."""
@@ -308,45 +325,88 @@ class FieldTable:
             pk *= self.p
         return np.asarray(out, dtype=self.dtype)
 
-    # -- matrix product -------------------------------------------------------
+    # -- matrix products ------------------------------------------------------
 
-    def _packing(self, t: int) -> np.ndarray:
-        """Gather table for ``matmul`` with t digits per block:
-        enc[b, code] = sum_i d_(b*t+i) * 2^(s*i) for the digits d of code and
-        the slot width s = 53 // (2t-1), one row per block of t digits."""
-        enc = self._packings.get(t)
+    def _slots(self, k: int, N: int) -> Optional[tuple[int, int]]:
+        """(t, s) for a packed product of coefficients in [0, N) with inner
+        dimension k: t coefficients per float64, s bits apart.  A slot sums
+        at most k*t*(N-1)^2, which must stay below 2^s, and the 2t-1 slots
+        of a product must fit the mantissa, (2t-1)*s <= MANTISSA; t is the
+        largest that allows both.  None when k*(N-1)^2 >= 2^MANTISSA, where
+        even t = 1 could round: the caller splits k."""
+        sq = (N - 1) ** 2
+        if k * sq >= 1 << MANTISSA:
+            return None
+        t = next(t for t in range(self.e, 0, -1)
+                 if k * t * sq < 1 << (MANTISSA // (2 * t - 1)))
+        return t, MANTISSA // (2 * t - 1)
+
+    def _packing(self, t: int, s: int) -> np.ndarray:
+        """Gather table for ``matmul``: enc[b, code] packs digits
+        b*t .. b*t+t-1 of the code s bits apart into one float64."""
+        enc = self._packings.get((t, s))
         if enc is None:
-            s = 53 // (2 * t - 1)
             codes = np.arange(self.q)
-            enc = np.zeros((-(-self.e // t), self.q))
-            for i in range(self.e):
-                enc[i // t] += (codes // self.p**i % self.p) * 2.0 ** (s * (i % t))
-            self._packings[t] = enc
+            enc = _pack(np.stack([codes // self.p**i % self.p
+                                  for i in range(self.e)]), t, s)
+            self._packings[t, s] = enc
         return enc
 
-    def _mod_p(self, x: np.ndarray) -> None:
-        if self.p == 2:
-            x &= 1
-        else:
-            x %= self.p
+    def _packed_product(self, pa: np.ndarray, pb: np.ndarray, t: int, s: int,
+                        N: int, trace: bool = False) -> list[np.ndarray]:
+        """Coefficients of x^0 .. x^(e-1), int64 in [0, N), of the product
+        modulo F and N of two packed operands (``_pack``), or with ``trace``
+        of its diagonal.
+
+        One float64 BLAS product of two packed blocks holds every
+        coefficient sum_(u+v=m) a_u b_v of those blocks in its own s-bit
+        slot m (Kronecker substitution), exact by the choice of (t, s) in
+        ``_slots``: ceil(e/t)^2 BLAS calls in all, one for GF(4) up to
+        k = 65535, nine for GF(64) at k = 729.  The slots are read back as
+        integers by shift and mask, and the coefficients of x^m for m >= e
+        are folded in by the reduction table.  The diagonal of a product
+        takes one einsum per pair of blocks instead.
+        """
+        e = self.e
+        # coef[m]: the coefficient of x^m in the unreduced product
+        coef = [None] * (2 * e - 1)
+        for i in range(len(pa)):
+            for j in range(len(pb)):
+                if trace:
+                    prod = np.einsum("...jk,...kj->...j", pa[i], pb[j])
+                else:
+                    prod = pa[i] @ pb[j]
+                prod = prod.astype(np.int64)
+                top = min(t, e - i * t) + min(t, e - j * t) - 2
+                # top slot first: slot 0 is then masked in place in prod
+                for m in range(top, -1, -1):
+                    slot = prod >> (s * m) if m else prod
+                    if m < top:
+                        slot &= (1 << s) - 1
+                    d = (i + j) * t + m
+                    if coef[d] is None:
+                        coef[d] = slot
+                    else:
+                        coef[d] += slot
+        red = self._reduction_table(N)
+        for m in range(e, 2 * e - 1):
+            _mod(coef[m], N)
+        for i in range(e):
+            ci = coef[i]
+            for m in range(e, 2 * e - 1):
+                r = int(red[m, i])
+                if r:
+                    ci += r * coef[m] if r > 1 else coef[m]
+            _mod(ci, N)
+        return coef[:e]
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product of code arrays.
 
-        GF(2) runs on bit-packed rows.  Every other field uses Kronecker
-        substitution: each code's digits, in blocks of t, are packed s bits
-        apart into one float64 (``_packing``), so one float64 BLAS product of
-        two packed blocks holds every digit-product coefficient
-        sum_(i+j=m) a_i b_j of those blocks in its own s-bit slot m.  A slot
-        sums at most t digit products over the inner dimension k, so it holds
-        at most k*t*(p-1)^2.  The product is exact while that is below 2^s
-        and the 2t-1 slots fit the float64 mantissa, (2t-1)*s <= 53: s is
-        53 // (2t-1), t is the largest digit count with k*t*(p-1)^2 < 2^s,
-        and the e digits split into ceil(e/t) blocks, ceil(e/t)^2 BLAS calls
-        in all (one for GF(4) up to k = 65535, nine for GF(64) at k = 729).
-        The slots are read back as integers by shift and mask, and the
-        coefficients of x^m for m >= e are folded in by the reduction table.
-        An inner dimension with k*(p-1)^2 >= 2^53 is split in halves.
+        GF(2) runs on bit-packed rows.  Every other field gathers the
+        packed digits of each code from a table (``_packing``) and takes
+        the packed product (``_packed_product``) with N = p.  An inner
+        dimension with k*(p-1)^2 >= 2^MANTISSA is split in halves.
         """
         a = np.asarray(a)
         b = np.asarray(b)
@@ -360,46 +420,50 @@ class FieldTable:
             ar = gf2.pack_rows(a)
             br = gf2.pack_rows(b)
             return gf2.unpack_rows(gf2.mul_packed(ar, br), cols).astype(self.dtype)
-        p, e = self.p, self.e
-        sq = (p - 1) ** 2  # the largest digit product
-        if k * sq >= 1 << 53:
+        p = self.p
+        slots = self._slots(k, p)
+        if slots is None:
             h = k // 2
             return self.add_vec(self.matmul(a[:, :h], b[:h]), self.matmul(a[:, h:], b[h:]))
-        t = next(t for t in range(e, 0, -1) if k * t * sq < 1 << (53 // (2 * t - 1)))
-        s = 53 // (2 * t - 1)
-        enc = self._packing(t)
-        pa = enc[:, a]
-        pb = enc[:, b]
-        # coef[m]: the coefficient of x^m in the digit-polynomial product
-        coef = [None] * (2 * e - 1)
-        for i in range(len(enc)):
-            for j in range(len(enc)):
-                prod = (pa[i] @ pb[j]).astype(np.int64)
-                top = min(t, e - i * t) + min(t, e - j * t) - 2
-                # top slot first: slot 0 is then masked in place in prod
-                for m in range(top, -1, -1):
-                    slot = prod >> (s * m) if m else prod
-                    if m < top:
-                        slot &= (1 << s) - 1
-                    d = (i + j) * t + m
-                    if coef[d] is None:
-                        coef[d] = slot
-                    else:
-                        coef[d] += slot
-        for m in range(e, 2 * e - 1):
-            self._mod_p(coef[m])
+        t, s = slots
+        enc = self._packing(t, s)
+        coef = self._packed_product(enc[:, a], enc[:, b], t, s, p)
         out = coef[0]
-        for i in range(e):
+        for i in range(1, self.e):
             ci = coef[i]
-            for m in range(e, 2 * e - 1):
-                r = int(self._red[m, i])
-                if r:
-                    ci += r * coef[m] if r > 1 else coef[m]
-            self._mod_p(ci)
-            if i:
-                ci *= p**i
-                out += ci
+            ci *= p**i
+            out += ci
         return out.astype(self.dtype)
+
+    def ring_matmul(self, x: np.ndarray, y: np.ndarray, N: int,
+                    trace: bool = False) -> np.ndarray:
+        """Product x y of matrix stacks over R = (Z/N)[t]/(F), F the monic
+        integer lift of ``poly`` (the Galois ring GR(p^j, e) for N = p^j),
+        or with ``trace`` its trace.
+
+        x and y are integer stacks (e, ..., r, k) and (e, ..., k, c): the
+        first axis holds the coefficients of t^0 .. t^(e-1), in [0, N).
+        They are packed as ``matmul`` packs digits, with the slot width that
+        N calls for, and multiplied by the same ``_packed_product``; an
+        inner dimension with k*(N-1)^2 >= 2^MANTISSA is split in halves.
+        Returns int64 coefficients in [0, N): (e, ..., r, c), or (e, ...)
+        for a trace.
+        """
+        k = x.shape[-1]
+        slots = self._slots(k, N)
+        if slots is None:
+            h = k // 2
+            out = (self.ring_matmul(x[..., :h], y[..., :h, :], N, trace)
+                   + self.ring_matmul(x[..., h:], y[..., h:, :], N, trace))
+            _mod(out, N)
+            return out
+        t, s = slots
+        out = np.stack(self._packed_product(_pack(x, t, s), _pack(y, t, s),
+                                            t, s, N, trace))
+        if trace:
+            out = out.sum(-1)
+            _mod(out, N)
+        return out
 
     # -- subfield embedding ---------------------------------------------------
 

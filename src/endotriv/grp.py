@@ -634,6 +634,8 @@ def parse_group_file(text: str) -> tuple[object, list]:
         if len(head) != 4:
             raise ValueError("mat header needs p, e, dim")
         p, e, dim = int(head[1]), int(head[2]), int(head[3])
+        if dim < 1:
+            raise ValueError("matrix dimension must be positive")
         f = field_make(p, e)
         ops = MatOps(f, dim)
         gens = []
@@ -641,6 +643,8 @@ def parse_group_file(text: str) -> tuple[object, list]:
             toks = [int(t) for t in ln.split()]
             if len(toks) != dim * dim:
                 raise ValueError(f"expected {dim*dim} entries, got {len(toks)}")
+            if min(toks) < 0:
+                raise ValueError(f"negative entry token in {ln!r}")
             codes = np.zeros(dim * dim, dtype=f.dtype)
             for i, t in enumerate(toks):
                 if t == 0:

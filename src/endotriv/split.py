@@ -8,14 +8,18 @@ into composition factors for the summands themselves.
 
 The radical (Cohen, Ivanyos and Wales, JPAA 117/118, 1997) is batched.  Its
 level-0 Gram matrix, the trace form tr(L_a L_b), is one product of the
-flattened L_a with the flattened transposed L_b.  Level i >= 1 needs
-e_{p^i}(L_a L_b) for every pair; the Gram matrix is symmetric, because AB and
-BA have the same characteristic polynomial, so only pairs a <= b are formed,
-one matrix product per a, and charpoly_batch runs one Hessenberg reduction
-vectorized over them.  It works in passes of at most CHARPOLY_CHUNK_CELLS
-cells, which bounds its int64 temporaries and so the run's peak RSS.  The
-per-matrix charpoly stays as the reference the batched one is tested against.
-Products in the Hecke algebra are contractions with its structure tensor.
+flattened L_a with the flattened transposed L_b.  Level i >= 1 uses
+g_i(A) = Tr(A^(p^i)) / p^i mod p, with A lifted digit by digit to the Galois
+ring GR(p^(i+1), e) = (Z/p^(i+1))[t]/(F), F the monic integer lift of the
+field's primitive polynomial (see ``algebra_radical`` for why g_i is well
+defined and p^i-semilinear).  The Gram matrix g_i(L_a L_b) is symmetric, so
+only pairs a <= b are formed, in passes of at most RADICAL_PASS_CELLS cells;
+a pass is i - 1 p-th powers and one folded trace of batched Galois-ring
+products (``FieldTable.ring_matmul``, the packed float64 product of
+``FieldTable.matmul`` with coefficients mod p^(i+1)), with no characteristic
+polynomial.  Products in the Hecke algebra
+are contractions with its structure tensor, and realizing an element is one
+contraction with the double-coset value table and one gather.
 
 All randomized steps draw from an explicitly passed random.Random, so a run
 is reproducible from its seed.
@@ -37,7 +41,7 @@ __all__ = [
     "split_summands",
     "algebra_radical",
     "charpoly",
-    "charpoly_batch",
+    "elem_symmetric_coeff",
     "factor_poly",
     "is_irreducible",
     "chop",
@@ -102,7 +106,8 @@ def pmul(f: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def pdivmod(f: FieldTable, a: np.ndarray, b: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
-    assert len(b) > 0
+    if len(b) == 0:
+        raise ValueError("polynomial division by zero")
     a = a.copy()
     binv = f.inv(int(b[-1]))
     q = np.zeros(max(len(a) - len(b) + 1, 0), dtype=np.int64)
@@ -120,7 +125,8 @@ def pmod(f: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pmonic(f: FieldTable, a: np.ndarray) -> np.ndarray:
-    assert len(a) > 0
+    if len(a) == 0:
+        raise ValueError("the zero polynomial has no monic multiple")
     return pscale(f, f.inv(int(a[-1])), a)
 
 
@@ -179,7 +185,8 @@ def ppow_mod(f: FieldTable, a: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
 
 def pth_root_poly(f: FieldTable, a: np.ndarray) -> np.ndarray:
     """For a = h(t^p), return h with p-th roots taken on coefficients."""
-    assert (len(a) - 1) % f.p == 0
+    if (len(a) - 1) % f.p != 0:
+        raise ValueError(f"degree {len(a) - 1} is not a multiple of p = {f.p}")
     coeffs = a[:: f.p].astype(np.int64)
     # p-th root on F_q is Frobenius applied e-1 times
     for _ in range(f.e - 1):
@@ -278,20 +285,13 @@ def factor_poly(f: FieldTable, a: np.ndarray, rng: random.Random
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and selected coefficients
-
-# Upper bound on the cells (matrices x n x n) that one pass of the batched
-# charpoly works on.  A pass holds a few int64 temporaries of that size: on
-# the 40-dimensional radical of PGL(2,13) the transient heap peak is 0.9 MiB
-# at 2^14 cells and 2.8 MiB at 2^16, against 1.5 MiB for the old per-matrix
-# path.  Larger passes run faster but lift a run's peak RSS once the radical
-# is the largest allocation.
-CHARPOLY_CHUNK_CELLS = 1 << 14
-
+# characteristic polynomial of one matrix: the radical no longer uses it; it
+# is the reference that the radical's tests build their charpoly chain on,
+# and bench/tracer.py times both functions by name
 
 def charpoly(f: FieldTable, M: np.ndarray) -> np.ndarray:
     """Monic characteristic polynomial (ascending coefficients, length n+1)
-    via Hessenberg reduction; the one-matrix reference for charpoly_batch."""
+    via Hessenberg reduction."""
     n = M.shape[0]
     H = M.astype(np.int64).copy()
     for j in range(n - 2):
@@ -334,107 +334,102 @@ def charpoly(f: FieldTable, M: np.ndarray) -> np.ndarray:
     return polys[n]
 
 
-def charpoly_batch(f: FieldTable, mats: np.ndarray) -> np.ndarray:
-    """Characteristic polynomials of a stack of n x n matrices, as a
-    (batch, n+1) array of ascending monic coefficients.
-
-    The same Hessenberg reduction and recurrence as charpoly, vectorized over
-    the batch axis, in passes of at most CHARPOLY_CHUNK_CELLS cells.
-    """
-    mats = np.asarray(mats)
-    batch, n = mats.shape[0], mats.shape[-1]
-    out = np.empty((batch, n + 1), dtype=np.int64)
-    step = max(1, CHARPOLY_CHUNK_CELLS // max(1, n * n))
-    for s in range(0, batch, step):
-        out[s: s + step] = _charpoly_pass(f, mats[s: s + step])
-    return out
-
-
-def _charpoly_pass(f: FieldTable, mats: np.ndarray) -> np.ndarray:
-    H = mats.astype(np.int64)
-    batch, n = H.shape[0], H.shape[-1]
-    for j in range(n - 2):
-        # pivot: first nonzero below the diagonal; argmax gives j+1 where
-        # the column is zero, and that matrix is left alone
-        piv = j + 1 + (H[:, j + 1:, j] != 0).argmax(axis=1)
-        s = np.nonzero(piv != j + 1)[0]
-        if s.size:
-            ps = piv[s]
-            row = H[s, j + 1, :]
-            H[s, j + 1, :] = H[s, ps, :]
-            H[s, ps, :] = row
-            col = H[s, :, j + 1]
-            H[s, :, j + 1] = H[s, :, ps]
-            H[s, :, ps] = col
-        low = H[:, j + 2:, j]
-        if not low.any():
-            continue
-        h = H[:, j + 1, j]
-        c = f.mul_vec(low, f.inv_vec(np.where(h == 0, 1, h))[:, None])
-        # H <- L H L^-1 with L = I - sum_i c_i E_{i,j+1}: all row operations,
-        # then all column operations.  Field arithmetic is exact, so this is
-        # the matrix charpoly's interleaved order reaches.  Row j+1 is zero
-        # left of column j, and the row operations clear column j.
-        H[:, j + 2:, j + 1:] = f.sub_vec(
-            H[:, j + 2:, j + 1:], f.mul_vec(c[:, :, None], H[:, None, j + 1, j + 1:]))
-        H[:, j + 2:, j] = 0
-        H[:, :, j + 1] = f.add_vec(H[:, :, j + 1], f.sum_vec(
-            f.mul_vec(H[:, :, j + 2:], c[:, None, :]), axis=2))
-    # polys[:, k] holds p_k, the charpoly of the leading k x k block
-    polys = np.zeros((batch, n + 1, n + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    # runs[:, i-1] = prod_{l=i}^{k-1} H[l, l-1], one more factor per k
-    runs = np.zeros((batch, 0), dtype=np.int64)
-    for k in range(1, n + 1):
-        prev = polys[:, k - 1, :k]
-        term = polys[:, k, : k + 1]
-        term[:, 1:] = prev
-        term[:, :k] = f.sub_vec(term[:, :k],
-                                f.mul_vec(H[:, k - 1, k - 1, None], prev))
-        if k >= 2:
-            sub = H[:, k - 1, k - 2, None]
-            runs = np.hstack([f.mul_vec(runs, sub), sub])
-            c = f.mul_vec(H[:, : k - 1, k - 1], runs)
-            acc = f.sum_vec(f.mul_vec(c[:, :, None], polys[:, : k - 1, : k - 1]),
-                            axis=1)
-            term[:, : k - 1] = f.sub_vec(term[:, : k - 1], acc)
-    return polys[:, n]
-
-
-def elem_symmetric_batch(f: FieldTable, mats: np.ndarray, k: int) -> np.ndarray:
-    """e_k of the eigenvalues of each matrix in a stack: (-1)^k times the
-    coefficient of t^(n-k) of its characteristic polynomial."""
-    n = mats.shape[-1]
-    if k > n:
-        return np.zeros(mats.shape[0], dtype=np.int64)
-    c = charpoly_batch(f, mats)[:, n - k]
-    return c if (k % 2 == 0 or f.p == 2) else f.neg_vec(c).astype(np.int64)
-
-
 def elem_symmetric_coeff(f: FieldTable, M: np.ndarray, k: int) -> int:
-    """e_k of the eigenvalues: the sum of principal k x k minors."""
-    return int(elem_symmetric_batch(f, M[None], k)[0])
+    """e_k of the eigenvalues: (-1)^k times the coefficient of t^(n-k) of
+    the characteristic polynomial."""
+    c = int(charpoly(f, M)[M.shape[0] - k])
+    return f.neg(c) if k % 2 else c
 
 
 # ---------------------------------------------------------------------------
 # radical of an associative unital algebra given by left-regular matrices
 
+# Upper bound on the cells (pairs x n x n) that one pass of a radical level
+# works on.  A pass lifts its pairs and holds a few int64 and packed
+# float64 stacks of that size per coefficient of the Galois ring, which
+# bounds a level's temporaries.  Of 2^13 .. 2^16, 2^14 ran the catalog
+# corners about as fast as any (3A7's fastest), and their radicals then
+# peak below 4 MiB of heap; 2^16 doubles the 3A7 time and heap.
+RADICAL_PASS_CELLS = 1 << 14
+
+
+def _ring_pow(f: FieldTable, N: int, x: np.ndarray, n: int) -> np.ndarray:
+    """x^n over GR(N, e) for n >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else f.ring_matmul(out, x, N)
+        n >>= 1
+        if not n:
+            return out
+        x = f.ring_matmul(x, x, N)
+
+
+def _trace_form(f: FieldTable, a: np.ndarray, b: np.ndarray, i: int
+                ) -> np.ndarray:
+    """g_i(A B) as codes, for paired stacks a, b of n x n matrices lifted to
+    GR(p^(i+1), e) (coefficient axis first).
+
+    A B is raised to the p^i-th power by i - 1 p-th powers, and the last one
+    is folded into the trace as Tr(X^(p-1) X).
+    """
+    p = f.p
+    N = p ** (i + 1)
+    x = f.ring_matmul(a, b, N)
+    for _ in range(i - 1):
+        x = _ring_pow(f, N, x, p)
+    tr = f.ring_matmul(_ring_pow(f, N, x, p - 1), x, N, trace=True)
+    if (tr % p ** i).any():
+        raise RuntimeError(f"a level-{i} trace is not divisible by {p}^{i}")
+    return (p ** np.arange(f.e) @ (tr // p ** i)).astype(f.dtype)
+
+
 def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
     """Row basis (coordinates) of the Jacobson radical.
 
-    reg[k] is the left-multiplication matrix of basis element k acting on
-    coordinate columns; the chain tests vanishing of characteristic
-    polynomial coefficients at t^(n - p^i), which cuts out the radical over
-    a perfect field.  Level i conditions are p^i-semilinear, so each level
-    solves a linear system in Frobenius-twisted unknowns.
+    reg[k] is the left-multiplication matrix L_k of basis element k acting
+    on coordinate columns.  Level 0 keeps the x in the algebra with
+    Tr(L_x L_y) = 0; level i >= 1 cuts I_(i-1), the result of level i - 1,
+    down to the x with g_i(L_x L_y) = 0 for y in I_(i-1), while p^i <= d.
+    Over a perfect field the last I_i is the radical (Cohen, Ivanyos and
+    Wales, JPAA 117/118, 1997).
 
-    The level-i matrix gamma[a, b] = e_{p^i}(L_a L_b) is symmetric, because
-    AB and BA have the same characteristic polynomial, so levels i >= 1 form
-    only the products with a <= b.
+    g_i(A) = Tr(A'^(p^i)) / p^i mod p, where A' is any lift of A to the
+    Galois ring R = GR(p^(i+1), e), whose residue field is GF(p^e):
+
+    - g_i does not depend on the lift: Tr((A' + pB)^(p^i)) and Tr(A'^(p^i))
+      agree mod p^(i+1), because the words of the expansion with j >= 1
+      factors pB fall into rotation orbits of size p^(i-s), p^s dividing j,
+      each a multiple of p^(j+i-s) with j >= p^s > s.
+    - p^i divides the trace on I_(i-1): by the Gauss (Fermat) congruence
+      Tr(A'^(p^j)) = phi(Tr(A'^(p^(j-1)))) mod p^j, phi the Frobenius of R,
+      and by the levels j < i, which make Tr(A'^(p^j)) = 0 mod p^(j+1) for
+      A = L_a L_b with a, b in I_(i-1).  A trace that is not divisible
+      raises RuntimeError.
+    - g_i is p^i-semilinear in x: the Teichmueller lift c' of a scalar c
+      gives Tr((c'A')^(p^i)) = c'^(p^i) Tr(A'^(p^i)), so g_i(cA) =
+      c^(p^i) g_i(A), and the mixed words of (A' + B')^(p^i) fall into
+      rotation orbits whose size p^(i-s) times the p^(s+1) that level s
+      puts in their traces makes them vanish mod p^(i+1).
+
+    So level i solves a linear system in Frobenius-twisted unknowns.  The
+    Gram matrix g_i(L_a L_b) is symmetric, because (AB)^n and (BA)^n have
+    the same trace, so levels i >= 1 form only the products with a <= b.
+
+    What the three points above do not show is that g_i cuts out the same
+    I_i as the published chain, whose level i is e_(p^i)(L_x L_y) = 0, the
+    elementary symmetric function of the eigenvalues.  No proof of that is
+    written down here for e > 1, where the lift is to a Galois ring rather
+    than to the integers: the equality rests on tests, a
+    hypothesis oracle against the e_(p^i) chain on group algebras in random
+    bases over GF(4), GF(8), GF(9) and GF(25), and bit-identical radicals
+    on every catalog corner.
     """
     d = len(reg)
     flat = np.stack(reg).reshape(d, d * d).astype(f.dtype)
     cur = np.eye(d, dtype=f.dtype)
+    # pw[u] = p^u: digit u of a code is the coefficient of t^u in its lift
+    pw = (f.p ** np.arange(f.e)).astype(f.dtype).reshape(-1, 1, 1, 1)
     i = 0
     while f.p ** i <= d and cur.shape[0] > 0:
         m = cur.shape[0]
@@ -443,17 +438,13 @@ def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
             flat_t = mats.transpose(0, 2, 1).reshape(m, d * d)
             gamma = f.matmul(mats.reshape(m, d * d), flat_t.T)
         else:
+            digits = mats // pw % f.p
             gamma = np.zeros((m, m), dtype=f.dtype)
             ia, ib = np.triu_indices(m)
-            step = max(1, CHARPOLY_CHUNK_CELLS // (d * d))
+            step = max(1, RADICAL_PASS_CELLS // (d * d))
             for s in range(0, len(ia), step):
                 ca, cb = ia[s: s + step], ib[s: s + step]
-                # one product per row a: L_a [L_b1 | L_b2 | ...]
-                prods = np.concatenate([
-                    f.matmul(mats[a], np.hstack(mats[cb[ca == a]])
-                             ).reshape(d, -1, d).transpose(1, 0, 2)
-                    for a in range(ca[0], ca[-1] + 1)])
-                vals = elem_symmetric_batch(f, prods, f.p ** i)
+                vals = _trace_form(f, digits[:, ca], digits[:, cb], i)
                 gamma[ca, cb] = vals
                 gamma[cb, ca] = vals
         eta = gauss(FMatrix(f, gamma.T)).kernel.a.astype(np.int64)
@@ -491,25 +482,21 @@ class HeckeEnd:
         lamg = ctx.lambda_on_g(lam)
         trans = np.array(ctx.transversal, dtype=np.int64)
         pair = ctx.pairprod
-        self.fvals = np.zeros((self.dim_alg, ctx.G.order), dtype=np.int64)
+        self.fvals = np.zeros((self.dim_alg, ctx.G.order), dtype=f.dtype)
         for pos, a in enumerate(self.good):
             mask = ctx.dc_of == a
             self.fvals[pos, mask] = lamg[mask]
-        # realized matrices
-        self.realized = [FMatrix(f, self.fvals[pos][pair])
-                         for pos in range(self.dim_alg)]
         # structure constants c[d][a, b] with F_a F_b = sum_d c F_d,
         # via c = sum over cosets t_j of F_a(rep_d t_j^-1) F_b(t_j)
-        m_f = np.stack([self.fvals[pos][trans] for pos in range(self.dim_alg)])
+        m_f = np.ascontiguousarray(self.fvals[:, trans].T)
         self.structure = np.zeros((self.dim_alg,) * 3, dtype=np.int64)
         for dpos, dcid in enumerate(self.good):
             row = pair[ctx.dc_rep_coset(dcid)]
-            va = np.stack([self.fvals[pos][row] for pos in range(self.dim_alg)])
-            self.structure[dpos] = f.matmul(va.astype(f.dtype),
-                                            np.ascontiguousarray(m_f.T).astype(f.dtype)
-                                            ).astype(np.int64)
+            self.structure[dpos] = f.matmul(self.fvals[:, row], m_f)
         # identity coordinates: the double coset of 1 is N itself, id 0
-        assert self.good[0] == 0
+        if self.good[0] != 0:
+            raise RuntimeError("the double coset of 1 is not the first "
+                               "lambda-good double coset")
         self.unit = np.zeros(self.dim_alg, dtype=np.int64)
         self.unit[0] = 1
         # the structure tensor laid out for contraction with coordinate rows:
@@ -541,12 +528,11 @@ class HeckeEnd:
                         self.left_mul(x).T)[0].astype(np.int64)
 
     def realize(self, x: np.ndarray) -> FMatrix:
+        """sum_a x_a F_a as a dim x dim matrix: the values of that function
+        on G, one contraction with fvals, gathered at t_i t_j^-1."""
         f = self.f
-        acc = np.zeros((self.ctx.dim, self.ctx.dim), dtype=np.int64)
-        for a in np.nonzero(x)[0]:
-            acc = f.add_vec(acc, f.mul_vec(np.int64(int(x[a])),
-                                           self.realized[a].a.astype(np.int64))).astype(np.int64)
-        return FMatrix(f, acc)
+        vals = f.matmul(np.asarray(x).astype(f.dtype)[None, :], self.fvals)[0]
+        return FMatrix(f, vals[self.ctx.pairprod])
 
     # -- idempotent machinery -------------------------------------------------
 

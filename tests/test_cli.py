@@ -1,30 +1,26 @@
 """Command line front end tests: schema shape, exit codes, determinism."""
+import contextlib
 import dataclasses
+import io
 import json
-import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from endotriv import catalog, cli
-from endotriv.grp import GroupTable, PermOps, serialize_group_file
+from endotriv.grp import (GroupTable, PermOps, parse_group_file,
+                          serialize_group_file)
 
 
 def run_main(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def src_env():
-    """The environment for a subprocess that imports endotriv from src/."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_list_text(capsys):
@@ -83,14 +79,14 @@ def test_reports_identical_across_seeds(capsys):
     assert out0.replace('"seed": 0', '"seed": 31337') == out1
 
 
-def test_report_identical_under_python_O():
+def test_report_identical_under_python_O(src_env):
     """``python -O`` strips asserts: the report must not depend on them."""
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "endotriv.cli", "analyze",
              "--group", "A5", "--seed", "5"],
-            capture_output=True, env=src_env(), timeout=300)
+            capture_output=True, env=src_env, timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(proc.stdout)
     assert json.loads(outs[0])["group"] == "A5"
@@ -125,11 +121,11 @@ else:
 """
 
 
-def test_corrupted_chop_fails_under_python_O():
+def test_corrupted_chop_fails_under_python_O(src_env):
     """An invariant check must not be an assert: chop fed a subspace that is
     not invariant still raises with asserts stripped."""
     proc = subprocess.run([sys.executable, "-O", "-c", LYING_CHOP],
-                          capture_output=True, env=src_env(), timeout=120)
+                          capture_output=True, env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == "False invariant subspace not respected\n"
 
@@ -150,14 +146,34 @@ else:
 """
 
 
-def test_induced_context_checks_subgroup_under_python_O():
+def test_induced_context_checks_subgroup_under_python_O(src_env):
     """The subgroup-order invariant is not an assert: it still fires with
     asserts stripped."""
     proc = subprocess.run([sys.executable, "-O", "-c", NOT_A_SUBGROUP],
-                          capture_output=True, env=src_env(), timeout=120)
+                          capture_output=True, env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == \
         "False the 2 indices generate a subgroup of order 3\n"
+
+
+COLLIDING_CATALOG = """
+from endotriv import catalog
+
+try:
+    catalog._index(catalog.entries() + catalog.entries()[:1])
+except RuntimeError as exc:
+    print(__debug__, exc)
+else:
+    print(__debug__, "indexed")
+"""
+
+
+def test_catalog_name_collision_under_python_O(src_env):
+    """Two catalog names with one canonical form raise, asserts stripped."""
+    proc = subprocess.run([sys.executable, "-O", "-c", COLLIDING_CATALOG],
+                          capture_output=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "False catalog names 'A4' and 'A4' collide\n"
 
 
 def test_analyze_text_format(capsys):
@@ -254,12 +270,12 @@ def test_hostile_field_arguments_exit_1(capsys, monkeypatch, argv, msg):
     assert built == []
 
 
-def test_prime_one_exits_in_subprocess():
+def test_prime_one_exits_in_subprocess(src_env):
     """--prime 1 once looped forever in the Sylow search; the subprocess
     timeout turns a hang into a failure."""
     proc = subprocess.run(
         [sys.executable, "-m", "endotriv.cli", "analyze", "--group", "A5",
-         "--prime", "1"], capture_output=True, env=src_env(), timeout=60)
+         "--prime", "1"], capture_output=True, env=src_env, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert proc.stderr.decode() == "error: p = 1 is not prime\n"
@@ -271,17 +287,87 @@ def test_prime_one_exits_in_subprocess():
     ("mat 2 1 2\n1 0 0 0\n", [],
      "error: singular matrix generator: '1 0 0 0'\n"),
 ], ids=["overlapping_cycles", "singular_matrix"])
-def test_non_invertible_generator_exits_in_subprocess(tmp_path, text, argv, msg):
+def test_non_invertible_generator_exits_in_subprocess(tmp_path, src_env, text,
+                                                      argv, msg):
     """Both files once hung (an element whose powers never reach the
     identity); the subprocess timeout turns a hang into a failure."""
     path = tmp_path / "bad.grp"
     path.write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "endotriv.cli", "analyze", "--group", str(path),
-         *argv], capture_output=True, env=src_env(), timeout=60)
+         *argv], capture_output=True, env=src_env, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert proc.stderr.decode() == msg
+
+
+# -- group-file fuzz: small texts only, never a huge degree ------------------
+
+def _cycle_lines(degree):
+    point = st.integers(-1, degree + 1).map(str)
+    cycle = st.lists(point, max_size=4).map(lambda ps: "(" + " ".join(ps) + ")")
+    chunk = st.one_of(cycle, st.sampled_from(["(", ")", "()", ",", " ", "x"]))
+    return st.lists(st.lists(chunk, max_size=4).map("".join), max_size=3)
+
+
+def _matrix_lines(dim):
+    n = max(dim, 0) ** 2
+    token = st.integers(-2, 5).map(str)
+    row = st.lists(token, min_size=max(n - 1, 0), max_size=n + 1).map(" ".join)
+    return st.lists(row, max_size=3)
+
+
+PERM_TEXTS = st.integers(-1, 12).flatmap(
+    lambda d: _cycle_lines(max(d, 1)).map(
+        lambda lines: "\n".join([f"perm {d}", *lines])))
+# GF(2) and GF(4), dimension at most 3, plus a few bad headers
+MAT_TEXTS = st.tuples(
+    st.sampled_from(["2 1", "2 2", "4 1", "2 0", "x 1"]), st.integers(-1, 3)
+).flatmap(lambda h: _matrix_lines(h[1]).map(
+    lambda lines: "\n".join([f"mat {h[0]} {h[1]}", *lines])))
+SOUP_TEXTS = st.lists(st.sampled_from(
+    ["perm", "mat", "perm 3", "mat 2 2 2", "(", ")", "()", "(1 2)", "0", "1",
+     "2", "3", "-1", "7", ",", "#", " ", "\n", "x"]), max_size=12).map("".join)
+GROUP_TEXTS = st.one_of(PERM_TEXTS, MAT_TEXTS, SOUP_TEXTS)
+
+
+@given(GROUP_TEXTS)
+@settings(max_examples=300, deadline=1000)
+def test_group_file_parses_or_raises_value_error(text):
+    try:
+        parse_group_file(text)
+    except ValueError:
+        pass
+
+
+@given(GROUP_TEXTS)
+@settings(max_examples=100, deadline=1000)
+def test_unparsable_group_file_exits_1_with_one_line(text):
+    try:
+        parse_group_file(text)
+    except ValueError:
+        pass
+    else:
+        assume(False)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.grp"
+        path.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["analyze", "--group", str(path)])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("mat 2 1 -2\n1 0 0 1\n", "matrix dimension must be positive"),
+    ("mat 2 2 1\n-1\n", "negative entry token in '-1'"),
+])
+def test_bad_matrix_files_raise(text, msg):
+    with pytest.raises(ValueError, match=msg):
+        parse_group_file(text)
 
 
 def test_odd_prime_k_only_caveat(capsys):

@@ -1,12 +1,16 @@
 """Field table and dense linear algebra tests.
 
 Scalar arithmetic is checked against the field axioms directly, matrix
-routines against naive reimplementations and rank/transpose oracles.
+routines against naive reimplementations and rank/transpose oracles, and the
+Galois-ring products against exact integers.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endotriv import ffla
 from endotriv.ffla import _PRIMITIVE_POLYS, FMatrix, FieldTable, field_make, \
     gauss, kron, solve_right
 
@@ -141,20 +145,14 @@ def test_products_match_shift_and_add(pe, n, m, k, seed):
     scaled = [[_shift_and_add_mul(f, c, int(y)) for y in rb] for rb in b]
     assert f.mul_vec(np.int64(c), b.astype(f.dtype)).tolist() == scaled
     assert f.mul_vec(b, np.int64(c)).tolist() == scaled
-    # column times row, as the elimination update and HeckeEnd.realize call it
+    # column times row, as the elimination update calls it
     col, row = a[:, :1], b[-1:, :]
     outer = [[_shift_and_add_mul(f, int(x), int(y)) for y in row[0]] for x in col[:, 0]]
     assert f.mul_vec(col, row).tolist() == outer
     # inverses of units, and zero refused
     units = a[a != 0]
-    if units.size:
-        inv = f.inv_vec(units)
-        assert inv.dtype == f.dtype
-        assert [_shift_and_add_mul(f, int(x), int(y)) for x, y in zip(units, inv)] \
-            == [1] * units.size
-        assert [f.inv(int(x)) for x in units] == inv.tolist()
-    with pytest.raises(ZeroDivisionError):
-        f.inv_vec(a)
+    assert [_shift_and_add_mul(f, int(x), f.inv(int(x))) for x in units] \
+        == [1] * units.size
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
     # powers by square-and-multiply on the reference product; 0^k = 0
@@ -196,15 +194,16 @@ def test_matmul_against_naive(f):
 MATMUL_FIELDS = sorted(set(FIELDS) | {(2, 9), (5, 2), (3, 1)})
 
 
-def _block_switches(pe, kmax=1 << 17):
-    """Inner dimensions k on each side of every change of t, the digits per
-    packed block in ``matmul``: t is the largest with
-    (2t-1) * bitlen(k t (p-1)^2) <= 53, and the last k allowing t is
-    (2^s - 1) // (t (p-1)^2) for s = 53 // (2t-1)."""
+def _block_switches(pe, kmax=1 << 17, N=None):
+    """Inner dimensions k on each side of every change of t, the digits (or
+    coefficients mod N) per packed block: t is the largest with
+    (2t-1) * bitlen(k t (N-1)^2) <= 53, N = p for ``matmul``, and the last
+    k allowing t is (2^s - 1) // (t (N-1)^2) for s = 53 // (2t-1)."""
     p, e = pe
+    N = N or p
     ks = {1}
     for t in range(1, e + 1):
-        last = ((1 << 53 // (2 * t - 1)) - 1) // (t * (p - 1) ** 2)
+        last = ((1 << 53 // (2 * t - 1)) - 1) // (t * (N - 1) ** 2)
         if 1 <= last < kmax:
             ks |= {last, last + 1}
     return sorted(ks)
@@ -259,6 +258,64 @@ def test_matmul_splits_an_inner_dimension_past_the_mantissa():
     A = rng.integers(0, f.q, size=(1, k)).astype(f.dtype)
     B = rng.integers(0, f.q, size=(k, 1)).astype(f.dtype)
     assert np.array_equal(f.matmul(A, B), _dot_oracle(f, A, B))
+
+
+def ring_oracle(f, N, x, y):
+    """x y over (Z/N)[t]/(F) with Python integers: the product polynomial in
+    t of the coefficient matrices, reduced by t^e = -sum_j poly[j] t^j."""
+    e = f.e
+    xs = x.astype(np.int64).astype(object)
+    ys = y.astype(np.int64).astype(object)
+    coef = [0] * (2 * e - 1)
+    for u in range(e):
+        for v in range(e):
+            coef[u + v] = coef[u + v] + xs[u] @ ys[v]
+    for m in range(2 * e - 2, e - 1, -1):
+        for j, c in enumerate(f.poly):
+            coef[m - e + j] = coef[m - e + j] - c * coef[m]
+    return np.array([(c % N).astype(np.int64) for c in coef[:e]])
+
+
+@given(st.sampled_from([(2, 1), (2, 3), (2, 4), (3, 2), (5, 2), (7, 1)]),
+       st.integers(1, 4), st.integers(1, 9), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_ring_matmul_and_trace_match_integer_oracle(pe, level, n, small,
+                                                    all_max, seed):
+    """Batched products and traces over GR(p^(level+1), e).  With the
+    mantissa cut to bitlen((N-1)^2) bits every inner dimension is split
+    down to single columns, with one coefficient per slot, and the field
+    product of a row of every code with its transpose is split too."""
+    f = field_make(*pe)
+    N = f.p ** (level + 1)
+    if all_max:
+        x = y = np.full((f.e, 3, n, n), N - 1)
+    else:
+        rng = np.random.default_rng(seed)
+        x, y = rng.integers(0, N, size=(2, f.e, 3, n, n))
+    want = ring_oracle(f, N, x, y)
+    bits = ((N - 1) ** 2).bit_length() if small else ffla.MANTISSA
+    with mock.patch.object(ffla, "MANTISSA", bits):
+        prod = f.ring_matmul(x, y, N)
+        tr = f.ring_matmul(x, y, N, trace=True)
+        # the field product shares the packing and the split
+        codes = np.arange(f.q, dtype=f.dtype).reshape(1, -1)
+        assert np.array_equal(f.matmul(codes, codes.T),
+                              _dot_oracle(f, codes, codes.T))
+    assert prod.tolist() == want.tolist()
+    assert tr.tolist() == (np.trace(want, axis1=-2, axis2=-1) % N).tolist()
+
+
+@pytest.mark.parametrize("pe,level", [((2, 4), 1), ((2, 3), 3), ((3, 2), 1),
+                                      ((5, 2), 1)], ids=str)
+def test_ring_matmul_all_max_at_every_block_switch(pe, level):
+    f = field_make(*pe)
+    N = f.p ** (level + 1)
+    for k in _block_switches(pe, 1 << 12, N):
+        x = np.full((f.e, 2, k), N - 1)
+        y = np.full((f.e, k, 2), N - 1)
+        assert f.ring_matmul(x, y, N).tolist() == \
+            ring_oracle(f, N, x, y).tolist(), k
 
 
 def test_gauss_rank_transpose(f):

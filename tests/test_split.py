@@ -1,13 +1,16 @@
 """Decomposition engine tests.
 
 Polynomial arithmetic and factorization round-trip against themselves, the
-characteristic polynomial against a cofactor-expansion oracle, the radical
-against a brute-force nilpotency oracle over enumerated algebra elements,
+per-matrix characteristic polynomial against a cofactor-expansion oracle,
+the radical against a brute-force nilpotency oracle over enumerated algebra
+elements and against a reference built on that characteristic polynomial,
 and the induced-module machinery against an alternating group worked end to
 end.
 """
 import itertools
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -18,12 +21,11 @@ from endotriv import split
 from endotriv.ffla import FMatrix, field_make, gauss
 from endotriv.grp import GroupTable, PermOps
 from endotriv.modrep import InducedContext, character_group
-from endotriv.split import (HeckeEnd, algebra_radical, charpoly,
-                            charpoly_batch, chop, composition_factor_dims,
-                            elem_symmetric_coeff, factor_poly, is_irreducible,
-                            module_iso, padd, pdeg, pdivmod, pgcd, pmod,
-                            pmonic, pmul, pneg, psub, pxgcd, split_summands,
-                            squarefree_parts)
+from endotriv.split import (HeckeEnd, algebra_radical, charpoly, chop,
+                            composition_factor_dims, elem_symmetric_coeff,
+                            factor_poly, is_irreducible, module_iso, padd,
+                            pdeg, pdivmod, pgcd, pmod, pmonic, pmul, psub,
+                            pxgcd, split_summands, squarefree_parts)
 
 
 def perm(degree, *cycles):
@@ -129,7 +131,7 @@ def test_factor_poly_splits_cyclotomic():
     assert sorted(pdeg(g) for g, _ in fac2) == [1, 2]
 
 
-# -- characteristic polynomial ------------------------------------------------
+# -- characteristic polynomial: the reference behind the radical oracle -------
 
 def _naive_charpoly(f, M):
     n = M.shape[0]
@@ -190,48 +192,6 @@ def test_elem_symmetric_matches_charpoly():
                 assert ek == want
 
 
-def _oracle_matrix(f, n, kind, rng):
-    """A test matrix of the given kind; the structured kinds drive the
-    Hessenberg reduction through pivot swaps and all-zero columns."""
-    M = rng.integers(0, f.q, size=(n, n))
-    if kind == "sparse":
-        M[rng.random(size=(n, n)) < 0.75] = 0
-    elif kind == "zero":
-        M[:] = 0
-    elif kind == "nilpotent":
-        # strictly upper triangular, conjugated by a permutation
-        M = np.triu(M, 1)
-        perm_ = rng.permutation(n)
-        M = M[perm_][:, perm_]
-    elif kind == "block":
-        # zero subdiagonal: two diagonal blocks, no coupling below
-        k = n // 2
-        M[k:, :k] = 0
-        M[np.arange(1, n), np.arange(n - 1)] = 0
-    return M.astype(np.int64)
-
-
-CHARPOLY_FIELDS = [(2, 1), (2, 2), (2, 6), (3, 1), (5, 2)]
-
-
-@given(st.sampled_from(CHARPOLY_FIELDS), st.integers(0, 10),
-       st.lists(st.sampled_from(["random", "sparse", "zero", "nilpotent",
-                                 "block"]), min_size=1, max_size=9),
-       st.sampled_from([1, 7, 50, None]), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=120, deadline=None)
-def test_charpoly_batch_matches_charpoly(pe, n, kinds, cells, seed):
-    f = field_make(*pe)
-    rng = np.random.default_rng(seed)
-    mats = np.stack([_oracle_matrix(f, n, kind, rng) for kind in kinds])
-    # a small cell bound splits the batch into several passes
-    bound = split.CHARPOLY_CHUNK_CELLS if cells is None else cells
-    with mock.patch.object(split, "CHARPOLY_CHUNK_CELLS", bound):
-        got = charpoly_batch(f, mats.astype(f.dtype))
-    assert got.shape == (len(kinds), n + 1)
-    for M, row in zip(mats, got):
-        assert row.tolist() == charpoly(f, M).tolist()
-
-
 # -- radical ------------------------------------------------------------------
 
 def group_algebra_reg(f, table):
@@ -290,6 +250,12 @@ RADICAL_CASES = [
     ((2, 2), 3, 0),
     ((2, 1), 6, 3),
     ((5, 1), 5, 4),
+    # p-groups deep enough for levels 2 and up: the radical is the
+    # augmentation ideal, of dimension |P| - 1
+    ((2, 1), 8, 7),
+    ((2, 1), 16, 15),
+    ((3, 1), 9, 8),
+    ((5, 1), 25, 24),
 ]
 
 
@@ -341,6 +307,148 @@ def test_radical_elements_are_nilpotent_ideal():
         assert FMatrix(f, acc.astype(f.dtype)).power(d).is_zero()
 
 
+def reference_radical(f, regs):
+    """The radical by the chain of charpoly coefficients: level i keeps the
+    x in I_(i-1) with e_(p^i)(L_x L_y) = 0 for y in I_(i-1), e_k the k-th
+    elementary symmetric function of the eigenvalues.  The unknowns are
+    Frobenius-twisted as in
+    algebra_radical; each level ends in the RREF of the new basis."""
+    d = len(regs)
+    flat = np.stack(regs).reshape(d, d * d).astype(f.dtype)
+    cur = np.eye(d, dtype=f.dtype)
+    i = 0
+    while f.p ** i <= d and cur.shape[0] > 0:
+        m = cur.shape[0]
+        mats = f.matmul(cur, flat).reshape(m, d, d)
+        gamma = np.zeros((m, m), dtype=np.int64)
+        for a in range(m):
+            for b in range(a, m):
+                ab = f.matmul(mats[a], mats[b])
+                gamma[a, b] = gamma[b, a] = elem_symmetric_coeff(f, ab, f.p ** i)
+        eta = gauss(FMatrix(f, gamma.T)).kernel.a.astype(np.int64)
+        xi = f.pow_vec(eta, f.p ** ((-i) % f.e))
+        red = gauss(FMatrix(f, f.matmul(xi, cur)))
+        cur = red.rref.a[: red.rank]
+        i += 1
+    return cur
+
+
+def dihedral(order):
+    m = order // 2
+    return GroupTable(PermOps(m), [perm(m, tuple(range(m))),
+                                   tuple((-i) % m for i in range(m))])
+
+
+def c4xc4():
+    return GroupTable(PermOps(8), [perm(8, (0, 1, 2, 3)),
+                                   perm(8, (4, 5, 6, 7))])
+
+
+def random_basis(f, regs, rng):
+    """The left-regular matrices in the basis given by the columns of a
+    random invertible B: L'_k = B^-1 (sum_j B[j, k] L_j) B."""
+    d = len(regs)
+    while True:
+        B = FMatrix(f, rng.integers(0, f.q, size=(d, d)))
+        if B.rank() == d:
+            break
+    flat = np.stack(regs).reshape(d, d * d).astype(f.dtype)
+    combos = f.matmul(B.a.T, flat).reshape(d, d, d)
+    Binv = B.inverse()
+    return [(Binv @ FMatrix(f, c) @ B).a for c in combos]
+
+
+# (p, group builders): cyclic and dihedral p-groups, S3, D10 and C4 x C4;
+# C8, C16, D8, D16, C4 x C4 and C9 have d >= p^2, so levels 2 and up run
+ORACLE_GROUPS = {
+    2: [lambda: cyclic(2), lambda: cyclic(4), lambda: cyclic(8),
+        lambda: cyclic(16), lambda: dihedral(8), lambda: dihedral(16),
+        c4xc4, lambda: dihedral(6), lambda: dihedral(10)],
+    3: [lambda: cyclic(3), lambda: cyclic(9), lambda: dihedral(6)],
+    5: [lambda: cyclic(5), lambda: dihedral(10)],
+}
+ORACLE_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+@given(st.sampled_from(ORACLE_FIELDS), st.data(),
+       st.sampled_from([1, 7, None]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_radical_matches_charpoly_reference(pe, data, cells, seed):
+    f = field_make(*pe)
+    build = data.draw(st.sampled_from(ORACLE_GROUPS[f.p]))
+    regs = random_basis(f, group_algebra_reg(f, build()),
+                        np.random.default_rng(seed))
+    # a small cell bound puts every pair, or every few, in a pass of its own
+    bound = split.RADICAL_PASS_CELLS if cells is None else cells
+    with mock.patch.object(split, "RADICAL_PASS_CELLS", bound):
+        got = algebra_radical(f, regs)
+    assert got.a.tolist() == reference_radical(f, regs).tolist()
+
+
+CHECKS_UNDER_O = """
+import numpy as np
+from endotriv import split
+from endotriv.ffla import FieldTable, field_make
+from endotriv.grp import GroupTable, PermOps
+from endotriv.modrep import InducedContext, character_group
+
+
+def report(fn):
+    try:
+        fn()
+    except (RuntimeError, ValueError) as exc:
+        print(__debug__, type(exc).__name__, exc)
+    else:
+        print(__debug__, "no error")
+
+
+f2 = field_make(2, 1)
+# C4 over GF(2): the level-1 traces of the augmentation ideal are even
+c4 = GroupTable(PermOps(4), [(1, 2, 3, 0)])
+regs = []
+for g in range(4):
+    m = np.zeros((4, 4), dtype=np.int64)
+    for b in range(4):
+        m[c4.mul(g, b), b] = 1
+    regs.append(m)
+real = FieldTable.ring_matmul
+
+
+def corrupted(self, x, y, N, trace=False):
+    out = real(self, x, y, N, trace)
+    if trace:
+        out[0] = (out[0] + 1) % N
+    return out
+
+
+FieldTable.ring_matmul = corrupted
+report(lambda: split.algebra_radical(f2, regs))
+FieldTable.ring_matmul = real
+report(lambda: split.pdivmod(f2, np.array([1, 1]), np.array([], dtype=np.int64)))
+G = GroupTable(PermOps(5), [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+ctx = InducedContext(G, G.normalizer(G.sylow(2)))
+lam = character_group(ctx.ntable, ctx.ntable.abelianization_pprime(2),
+                      field_make(2, 2))[0]
+good = ctx.good_dcs(lam)
+ctx.good_dcs = lambda lam: good[::-1]
+report(lambda: split.HeckeEnd(ctx, lam))
+"""
+
+
+def test_checks_hold_under_python_O(src_env):
+    """With asserts stripped, a corrupted level-1 trace, a division by the
+    zero polynomial and a Hecke basis without the identity double coset
+    first still raise."""
+    proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O],
+                          capture_output=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines() == [
+        "False RuntimeError a level-1 trace is not divisible by 2^1",
+        "False ValueError polynomial division by zero",
+        "False RuntimeError the double coset of 1 is not the first "
+        "lambda-good double coset"]
+
+
 # -- Hecke algebra of an induced character ------------------------------------
 
 @pytest.fixture(scope="module")
@@ -355,19 +463,25 @@ def a5setup():
     return G, P, ctx, f, chars
 
 
+def basis_matrices(ctx, h):
+    """F_a as dim x dim matrices: its values on G at t_i t_j^-1."""
+    return [FMatrix(h.f, h.fvals[a][ctx.pairprod]) for a in range(h.dim_alg)]
+
+
 def test_hecke_structure_constants(a5setup):
     G, P, ctx, f, chars = a5setup
     for lam in chars:
         h = HeckeEnd(ctx, lam)
+        realized = basis_matrices(ctx, h)
         # structure constants reproduce realized matrix products
         for a in range(h.dim_alg):
             for b in range(h.dim_alg):
-                lhs = h.realized[a] @ h.realized[b]
+                lhs = realized[a] @ realized[b]
                 acc = FMatrix(f, np.zeros_like(lhs.a))
                 for dpos in range(h.dim_alg):
                     c = int(h.structure[dpos, a, b])
                     if c:
-                        acc = acc + h.realized[dpos].scale(c)
+                        acc = acc + realized[dpos].scale(c)
                 assert (lhs + acc.scale(f.neg(1))).is_zero()
 
 
@@ -376,7 +490,7 @@ def test_hecke_commutes_with_action(a5setup):
     for lam in chars:
         h = HeckeEnd(ctx, lam)
         ind = ctx.induce(lam)
-        for B in h.realized:
+        for B in basis_matrices(ctx, h):
             for M in ind.gen_mats:
                 assert ((B @ M) + (M @ B).scale(f.neg(1))).is_zero()
 
@@ -395,6 +509,21 @@ def test_hecke_unit_and_regular_rep(a5setup):
                          dtype=np.int64)
             assert (h.realize(h.mul(x, y)) +
                     (h.realize(x) @ h.realize(y)).scale(f.neg(1))).is_zero()
+
+
+def test_realize_matches_coordinate_sum(a5setup):
+    """realize(x) is sum_a x_a F_a, accumulated one coordinate at a time."""
+    G, P, ctx, f, chars = a5setup
+    rng = np.random.default_rng(3)
+    for lam in chars:
+        h = HeckeEnd(ctx, lam)
+        mats = basis_matrices(ctx, h)
+        for _ in range(6):
+            x = rng.integers(0, f.q, size=h.dim_alg)
+            acc = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
+            for a in np.nonzero(x)[0]:
+                acc = f.add_vec(acc, f.mul_vec(np.int64(x[a]), mats[a].a))
+            assert h.realize(x) == FMatrix(f, acc)
 
 
 def test_hecke_dim_mackey_oracle(a5setup):
