@@ -22,6 +22,8 @@ from dataclasses import dataclass, field as dfield
 from math import lcm
 from typing import Sequence
 
+import numpy as np
+
 from .ffla import FieldTable, kron
 from .grp import GroupTable
 from .modrep import (InducedContext, LinearCharacter, ModuleRep,
@@ -74,14 +76,14 @@ class SylowClasses:
         self.G = G
         self.amb = sorted(P)
         self.pt = subgroup_table(G, self.amb)
-        self.amb_of_pt = [G.idx(self.pt.elements[j]) for j in range(self.pt.order)]
         reps = self.pt.subgroups_up_to_conj(list(range(self.pt.order)))
         self.classes: list[tuple[int, ...]] = list(reps)
         self._class_idx = {c: i for i, c in enumerate(self.classes)}
         self._canon_cache: dict[frozenset[int], int] = {}
+        self._fixed: dict[tuple[int, int], int] = {}
 
     def ambient(self, cls: tuple[int, ...]) -> list[int]:
-        return sorted(self.amb_of_pt[j] for j in cls)
+        return sorted(self.pt.elements[j] for j in cls)
 
     def class_of(self, sub: frozenset[int]) -> int:
         """Class index of a subgroup given as a set of P-table indices."""
@@ -106,23 +108,22 @@ class SylowClasses:
         return out
 
     def fixed_cosets(self, qi: int, ri: int) -> int:
-        """Number of Q-fixed cosets in P/R for class representatives."""
-        Q = self.classes[qi]
-        R = set(self.classes[ri])
-        if len(Q) > len(R):
-            return 0
-        pt = self.pt
-        count = 0
-        seen = set()
-        for x in range(pt.order):
-            if x in seen:
-                continue
-            for r in R:
-                seen.add(pt.mul(x, r))
-            xin = pt.inv(x)
-            if all(pt.mul(pt.mul(xin, q), x) in R for q in Q):
-                count += 1
-        return count
+        """Number of Q-fixed cosets in P/R for class representatives: the
+        left cosets x R with q x R = x R for every q in Q."""
+        key = (qi, ri)
+        if key not in self._fixed:
+            Q, R = self.classes[qi], self.classes[ri]
+            count = 0
+            if len(Q) <= len(R):
+                pt = self.pt
+                lab = pt.orbits([pt.right(r) for r in R])
+                reps = np.flatnonzero(lab == np.arange(pt.order))
+                fixed = np.ones(len(reps), dtype=bool)
+                for q in Q:
+                    fixed &= lab[pt.left(q)[reps]] == reps
+                count = int(fixed.sum())
+            self._fixed[key] = count
+        return self._fixed[key]
 
 
 def permutation_type(dims: Sequence[int], sc: SylowClasses) -> dict[int, int]:
@@ -152,24 +153,19 @@ def endomorphism_type(ptype: dict[int, int], sc: SylowClasses) -> dict[int, int]
     pt = sc.pt
     out: dict[int, int] = {}
     for ri, mr in ptype.items():
+        R = sc.classes[ri]
+        lefts = [pt.left(r) for r in R]
         for si, ms in ptype.items():
-            R = sorted(sc.classes[ri])
-            S = set(sc.classes[si])
-            weight = mr * ms
-            # double cosets R x S in P
-            seen = set()
-            for x in range(pt.order):
-                if x in seen:
-                    continue
-                for r in R:
-                    rx = pt.mul(r, x)
-                    for s in S:
-                        seen.add(pt.mul(rx, s))
-                inter = frozenset(r for r in R
-                                  if pt.mul(pt.mul(pt.inv(x), r), x) in S)
-                # R cap xSx^-1 = elements r of R with x^-1 r x in S
-                ci = sc.class_of(inter)
-                out[ci] = out.get(ci, 0) + weight
+            rights = [pt.right(s) for s in sc.classes[si]]
+            # double cosets R x S of P, by least index x; R cap x S x^-1
+            # holds the r of R with r x in the left coset x S
+            lab_s = pt.orbits(rights)
+            lab = pt.orbits(lefts + rights)
+            reps = np.flatnonzero(lab == np.arange(pt.order))
+            inside = np.array([lab_s[left[reps]] == lab_s[reps] for left in lefts])
+            for col in inside.T:
+                ci = sc.class_of(frozenset(np.array(R)[col].tolist()))
+                out[ci] = out.get(ci, 0) + mr * ms
     return out
 
 
@@ -349,8 +345,7 @@ def bq_character(rep: ModuleRep, P: Sequence[int], p: int,
     if bq.dim != 1:
         raise RuntimeError(f"Brauer quotient at P has dim {bq.dim}, expected 1")
     nt = ctx.ntable
-    gen_amb = [ctx.G.idx(g) for g in nt.gens]
-    acts = [bq.action_scalar(g) for g in gen_amb]
+    acts = [bq.action_scalar(g) for g in nt.gens]
     for mu in chars:
         if all(mu.value(nt.gen_idx[k]) == a for k, a in enumerate(acts)):
             return mu
@@ -451,12 +446,11 @@ def compute_K(table: GroupTable, p: int, f: FieldTable, seed: int = 0
     gchars = x_group(table, p, f)
     x_image = []
     nt = ctx.ntable
-    gen_amb = [table.idx(g) for g in nt.gens]
     for sigma in gchars:
         match = None
         for mu in chars:
             if all(mu.value(nt.gen_idx[k]) == sigma.value(gi)
-                   for k, gi in enumerate(gen_amb)):
+                   for k, gi in enumerate(nt.gens)):
                 match = mu
                 break
         if match is None:
@@ -493,6 +487,19 @@ def compute_K(table: GroupTable, p: int, f: FieldTable, seed: int = 0
         table=table, ctx=ctx, chars=chars, sylow=P)
 
 
+def _kron_power(mats: list, m: int) -> list:
+    """m-th Kronecker powers of the matrices by repeated squaring; kron is
+    associative and every factor is the same, so the bracketing is free."""
+    out = None
+    while True:
+        if m & 1:
+            out = mats if out is None else [kron(a, b) for a, b in zip(out, mats)]
+        m >>= 1
+        if not m:
+            return out
+        mats = [kron(a, a) for a in mats]
+
+
 def tensor_power_class(res: KReport, exps: tuple[int, ...], m: int,
                        budget: int = TENSOR_LITERAL_CAP) -> dict:
     """Identify the class of the m-th tensor power of a correspondent.
@@ -513,16 +520,14 @@ def tensor_power_class(res: KReport, exps: tuple[int, ...], m: int,
     if not rec.endotrivial:
         out["verdict"] = "not_one_dimensional_plus_projective"
         return out
-    if m < 1 or rec.dim ** m > budget:
+    # 2^m > budget settles dim >= 2 without forming the big integer dim^m
+    if m < 1 or (rec.dim >= 2 and m >= max(budget, 0).bit_length()) \
+            or rec.dim ** m > budget:
         return out
     nt = res.ctx.ntable
     rest = rec.rep.restrict(nt)
-    cur = list(rest.gen_mats)
-    for _ in range(m - 1):
-        cur = [kron(a, b) for a, b in zip(cur, rest.gen_mats)]
-    power_rep = ModuleRep(nt, rest.field, cur)
-    p_nt = [nt.idx(res.table.elements[i]) for i in res.sylow]
-    bq = brauer_quotient(power_rep, p_nt, res.p)
+    power_rep = ModuleRep(nt, rest.field, _kron_power(rest.gen_mats, m))
+    bq = brauer_quotient(power_rep, res.ctx.g2n[res.sylow].tolist(), res.p)
     out["literal_checked"] = True
     if bq.dim != 1:
         out["literal_agrees"] = False

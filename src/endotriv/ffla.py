@@ -268,10 +268,11 @@ class FieldTable:
     # -- vectorized ops on code arrays ---------------------------------------
 
     def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            # codes add by XOR in any integer dtype; no int64 widening
+            return np.bitwise_xor(a, b).astype(self.dtype, copy=False)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.p == 2:
-            return (a ^ b).astype(self.dtype)
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         pk = 1
         for _ in range(self.e):
@@ -544,16 +545,8 @@ class FMatrix:
         self.a = arr
 
     @classmethod
-    def zeros(cls, field: FieldTable, r: int, c: int) -> "FMatrix":
-        return cls(field, np.zeros((r, c), dtype=field.dtype))
-
-    @classmethod
     def identity(cls, field: FieldTable, n: int) -> "FMatrix":
         return cls(field, np.eye(n, dtype=field.dtype))
-
-    @classmethod
-    def random(cls, field: FieldTable, r: int, c: int, rng) -> "FMatrix":
-        return cls(field, np.array([[rng.randrange(field.q) for _ in range(c)] for _ in range(r)]))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -591,9 +584,6 @@ class FMatrix:
     def __hash__(self) -> int:
         return hash((self.a.shape, self.a.tobytes()))
 
-    def to_bytes(self) -> bytes:
-        return self.a.tobytes()
-
     def is_identity(self) -> bool:
         r, c = self.a.shape
         return r == c and bool(np.array_equal(self.a, np.eye(r, dtype=self.field.dtype)))
@@ -627,9 +617,6 @@ class FMatrix:
             base = base @ base if n > 1 else base
             n >>= 1
         return out
-
-    def trace(self) -> int:
-        return int(self.field.sum_vec(np.diagonal(self.a))) if self.shape[0] else 0
 
     def __repr__(self) -> str:
         return f"FMatrix({self.field!r}, shape={self.shape})"

@@ -2,16 +2,17 @@
 
 Groups are enumerated fully (breadth-first over right multiplication, capped
 at 2*10^4 elements) and every element gets an integer index; index 0 is the
-identity.  Elements are permutation tuples or matrix code arrays, abstracted
-behind small ops objects.  Their raw product serves the enumeration only:
-every later product and inverse goes through the Cayley right-edges recorded
-while enumerating (the raw inverse is kept as a test reference).
-All subgroup computations work on index sets of the ambient enumerated group.
+identity.  Elements are permutation tuples, matrix code arrays or, in a
+subgroup table, indices of the ambient table, behind small ops objects whose
+product serves the enumeration only.  Everything later works on indices
+through the recorded Cayley right-edges: scalar products walk them, sweeps
+over the whole group act on index permutations, and one orbit labeller gives
+cosets, double cosets and conjugacy classes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-from math import gcd
+from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from .ffla import FieldTable, FMatrix, field_make
 __all__ = [
     "PermOps",
     "MatOps",
+    "SubgroupOps",
     "GroupTable",
     "AbelianPPrime",
     "parse_group_file",
@@ -28,12 +30,18 @@ __all__ = [
 ]
 
 ENUM_CAP = 20000
+# an element is a tuple of `degree` entries: ENUM_CAP of them at this degree
+# take about 160 MiB, so a larger degree is refused before any is built
+MAX_PERM_DEGREE = 1024
 
 
 class PermOps:
     """Permutations of {0..degree-1} stored as image tuples (left action)."""
 
     def __init__(self, degree: int):
+        if degree > MAX_PERM_DEGREE:
+            raise ValueError(f"permutation degree {degree} exceeds the limit "
+                             f"{MAX_PERM_DEGREE}")
         self.degree = degree
 
     def identity(self):
@@ -51,9 +59,6 @@ class PermOps:
 
     def key(self, a):
         return a
-
-    def describe(self) -> str:
-        return f"perm:{self.degree}"
 
 
 class MatOps:
@@ -75,8 +80,22 @@ class MatOps:
     def key(self, a):
         return a.tobytes()
 
-    def describe(self) -> str:
-        return f"mat:{self.field.p}^{self.field.e}:{self.dim}"
+
+class SubgroupOps:
+    """Elements of a subgroup table: indices of an ambient table, multiplied
+    there, so a subgroup is enumerated without a second raw product."""
+
+    def __init__(self, ambient: "GroupTable"):
+        self.ambient = ambient
+
+    def identity(self):
+        return 0
+
+    def mul(self, a, b):
+        return self.ambient.mul(a, b)
+
+    def key(self, a):
+        return a
 
 
 class GroupTable:
@@ -84,8 +103,11 @@ class GroupTable:
 
     elements[i] is the raw element, index 0 the identity, and word(i) gives a
     product of generator indices evaluating to elements[i].  The enumeration
-    records the Cayley right-edges (index of elements[i] * gens[g]), and
-    mul and inv work on indices through them alone.
+    records the Cayley right-edges as an integer array, edges[g, i] = index of
+    elements[i] * gens[g], and every later product goes through them: scalar
+    mul walks them along word(j); whole-group sweeps act on the index
+    permutations right(j) and left(i), and orbits() labels cosets, double
+    cosets and conjugacy classes alike by their least index.
     """
 
     def __init__(self, ops, gens: Sequence, cap: int = ENUM_CAP):
@@ -96,9 +118,12 @@ class GroupTable:
         self.index = {ops.key(ident): 0}
         self._parent = [-1]
         self._genidx = [-1]
-        # _edges[i][g] = index of elements[i] * gens[g]; the queue visits
-        # indices in the order they were found, so row i is appended i-th
-        self._edges: list[list[int]] = []
+        # _rows[i][g] = index of elements[i] * gens[g]; the queue visits
+        # indices in the order they were found, so row i is appended i-th.
+        # Every breadth-first layer is a contiguous index range, its parents
+        # in the layer before; _layers holds the range boundaries.
+        self._rows: list[list[int]] = []
+        self._layers = [0, 1]
         queue = [0]
         while queue:
             nxt = []
@@ -118,63 +143,22 @@ class GroupTable:
                         self._genidx.append(gi)
                         nxt.append(j)
                     row.append(j)
-                self._edges.append(row)
+                self._rows.append(row)
             queue = nxt
+            self._layers.append(len(self.elements))
         self.n = len(self.elements)
+        self.edges = np.array(self._rows, dtype=np.int64).reshape(self.n, -1).T.copy()
+        self._parent_a = np.array(self._parent, dtype=np.int64)
+        self._genidx_a = np.array(self._genidx, dtype=np.int64)
         self.gen_idx = [self.index[ops.key(g)] for g in self.gens]
-        self._inv: Optional[list[int]] = None
-        self._orders: Optional[list[int]] = None
-        self._classes: Optional[list[list[int]]] = None
+        self._inv: Optional[np.ndarray] = None
+        self._orders: Optional[np.ndarray] = None
+        self._classes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
-    # -- element access -------------------------------------------------------
+    # -- elements and the two multiplications ---------------------------------
 
     def idx(self, raw) -> int:
         return self.index[self.ops.key(raw)]
-
-    def mul(self, i: int, j: int) -> int:
-        edges = self._edges
-        for g in self.word(j):
-            i = edges[i][g]
-        return i
-
-    def inv(self, i: int) -> int:
-        if self._inv is None:
-            # inv(parent * g) = inv(g) * inv(parent); elements are listed in
-            # enumeration order, so parents resolve before children
-            ginv = [self.power(gi, self.order_of(gi) - 1) for gi in self.gen_idx]
-            inv = [0] * self.n
-            for a in range(1, self.n):
-                inv[a] = self.mul(ginv[self._genidx[a]], inv[self._parent[a]])
-            self._inv = inv
-        return self._inv[i]
-
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
-
-    def power(self, i: int, m: int) -> int:
-        if m < 0:
-            return self.power(self.inv(i), -m)
-        out = 0
-        base = i
-        while m:
-            if m & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return out
-
-    def order_of(self, i: int) -> int:
-        if self._orders is None:
-            self._orders = [0] * self.n
-        if self._orders[i] == 0:
-            o = 1
-            x = i
-            while x != 0:
-                x = self.mul(x, i)
-                o += 1
-            self._orders[i] = o
-        return self._orders[i]
 
     def word(self, i: int) -> tuple[int, ...]:
         """Generator indices whose product is elements[i] (identity: empty)."""
@@ -184,63 +168,167 @@ class GroupTable:
             i = self._parent[i]
         return tuple(reversed(out))
 
+    def mul(self, i: int, j: int) -> int:
+        rows = self._rows
+        for g in self.word(j):
+            i = rows[i][g]
+        return i
+
+    def right(self, j: int) -> np.ndarray:
+        """The permutation i -> i * j: edge columns composed along word(j)."""
+        perm = np.arange(self.n)
+        for g in self.word(j):
+            perm = self.edges[g][perm]
+        return perm
+
+    def _by_layers(self, out: np.ndarray, table: np.ndarray) -> np.ndarray:
+        # out[a] = table[gen(a), out[parent(a)]], a layer at a time
+        lay = self._layers
+        for a, b in zip(lay[1:-1], lay[2:]):
+            out[a:b] = table[self._genidx_a[a:b], out[self._parent_a[a:b]]]
+        return out
+
+    def left(self, i: int) -> np.ndarray:
+        """The permutation j -> i * j, as i * j = (i * parent(j)) * gen(j)."""
+        out = np.zeros(self.n, dtype=np.int64)
+        out[0] = i
+        return self._by_layers(out, self.edges)
+
+    def inverses(self) -> np.ndarray:
+        """Inverse of every index, as inv(parent * g) = inv(g) * inv(parent)."""
+        if self._inv is None:
+            # the inverse of gens[g] is the index that gens[g] takes to 1
+            lefts = [self.left(int(np.flatnonzero(col == 0)[0])) for col in self.edges]
+            self._inv = self._by_layers(np.zeros(self.n, dtype=np.int64),
+                                        np.array(lefts).reshape(len(lefts), self.n))
+        return self._inv
+
+    def inv(self, i: int) -> int:
+        return int(self.inverses()[i])
+
+    def conj(self, g: int, x: int) -> int:
+        """g x g^-1."""
+        return self.mul(self.mul(g, x), self.inv(g))
+
+    def conjugation(self, g: int) -> np.ndarray:
+        """The permutation x -> g x g^-1."""
+        return self.right(self.inv(g))[self.left(g)]
+
+    def power(self, i: int, m: int) -> int:
+        if m < 0:
+            return self.power(self.inv(i), -m)
+        out, base = 0, i
+        while m:
+            if m & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            m >>= 1
+        return out
+
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, walked once per conjugacy class."""
+        if self._orders is None:
+            reps, num = self._class_index()
+            orders = []
+            for r in reps.tolist():
+                o, x = 1, r
+                while x != 0:
+                    o, x = o + 1, self.mul(x, r)
+                orders.append(o)
+            self._orders = np.array(orders, dtype=np.int64)[num]
+        return self._orders
+
+    def order_of(self, i: int) -> int:
+        return int(self.element_orders()[i])
+
     @property
     def order(self) -> int:
         return self.n
 
-    def describe(self) -> str:
-        return self.ops.describe()
+    # -- orbit labeller -------------------------------------------------------
+
+    def orbits(self, perms: Sequence[np.ndarray]) -> np.ndarray:
+        """Least index in the orbit of every index under the group generated
+        by the index permutations perms.
+
+        Each pass hooks the larger of two different labels met along an edge
+        i -> p[i] onto the smaller one, then pointer-jumps every label to its
+        root; labels only fall (whichever of repeated hooks wins) and stay in
+        their orbit, so at the fixed point every orbit carries its least index.
+        """
+        lab = np.arange(self.n)
+        while True:
+            for p in perms:
+                other = lab[p]
+                move = lab != other
+                hi = np.maximum(lab[move], other[move])
+                lab[hi] = np.minimum(lab[hi], np.minimum(lab[move], other[move]))
+            while not np.array_equal(lab, lab[lab]):
+                lab = lab[lab]
+            if all(np.array_equal(lab, lab[p]) for p in perms):
+                return lab
+
+    def orbit_index(self, lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least index of every orbit of an orbits() labelling, ascending,
+        and for every index the position of its orbit in that order."""
+        reps = np.flatnonzero(lab == np.arange(self.n))
+        num = np.zeros(self.n, dtype=np.int64)
+        num[reps] = np.arange(len(reps))
+        return reps, num[lab]
 
     # -- subgroup machinery (index sets) --------------------------------------
 
+    def _grow(self, seed: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+        """Closure of seed as boolean marks, with the greedy generating set:
+        the seeds, in order, outside the closure of those taken before."""
+        seed = np.array(list(seed), dtype=np.int64)
+        marks = np.zeros(self.n, dtype=bool)
+        marks[0] = True
+        slot = np.zeros(self.n, dtype=np.int64)
+        gens, perms = [], []
+        while True:
+            free = seed[~marks[seed]]
+            if not free.size:
+                return marks, gens
+            gens.append(int(free[0]))
+            perms.append(self.right(gens[-1]))
+            frontier = np.flatnonzero(marks)
+            while frontier.size:
+                new = np.concatenate([r[frontier] for r in perms])
+                new = new[~marks[new]]
+                # keep one copy of each: the position its slot ends up holding
+                slot[new] = np.arange(new.size)
+                frontier = new[slot[new] == np.arange(new.size)]
+                marks[frontier] = True
+
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        seen = {0}
-        seed = [s for s in seed if s != 0]
-        frontier = []
-        for s in seed:
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-        gens = list(seed)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(np.flatnonzero(self._grow(seed)[0]).tolist())
 
     def small_gens(self, sub: Iterable[int]) -> list[int]:
         """Greedy small generating set for an enumerated subgroup."""
-        sub_sorted = sorted(set(sub))
-        have = frozenset({0})
-        gens = []
-        for x in sub_sorted:
-            if x not in have:
-                gens.append(x)
-                have = self.closure(gens)
-                if len(have) == len(sub_sorted):
-                    break
-        return gens
+        return self._grow(sorted(set(sub)))[1]
+
+    def _class_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """orbit_index of the conjugacy classes."""
+        if self._classes is None:
+            self._classes = self.orbit_index(
+                self.orbits([self.conjugation(s) for s in self.gen_idx]))
+        return self._classes
+
+    def conjugacy_classes(self) -> list[list[int]]:
+        """The classes, each sorted, ordered by least element."""
+        reps, num = self._class_index()
+        classes: list[list[int]] = [[] for _ in reps]
+        for x, k in enumerate(num.tolist()):
+            classes[k].append(x)
+        return classes
 
     def normal_closure(self, seed: Iterable[int]) -> frozenset[int]:
-        cur = self.closure(seed)
-        while True:
-            extra = []
-            cgens = self.small_gens(cur)
-            for g in self.gen_idx:
-                for x in cgens:
-                    y = self.conj(g, x)
-                    if y not in cur:
-                        extra.append(y)
-            if not extra:
-                return cur
-            # regenerate from a small generating set; conjugates of generators
-            # generate the conjugate subgroup, so closure stays correct
-            cur = self.closure(set(cgens) | set(extra))
+        """The subgroup generated by the conjugacy classes of the seed."""
+        reps, num = self._class_index()
+        hit = np.zeros(len(reps), dtype=bool)
+        hit[num[list(seed)]] = True
+        return self.closure(np.flatnonzero(hit[num]))
 
     def derived_subgroup(self) -> frozenset[int]:
         comms = []
@@ -249,82 +337,44 @@ class GroupTable:
                 comms.append(self.mul(self.mul(a, b), self.inv(self.mul(b, a))))
         return self.normal_closure(comms)
 
-    def conjugacy_classes(self) -> list[list[int]]:
-        if self._classes is not None:
-            return self._classes
-        seen = [False] * self.n
-        classes = []
-        for x in range(self.n):
-            if seen[x]:
-                continue
-            orbit = [x]
-            seen[x] = True
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for g in self.gen_idx:
-                        z = self.conj(g, y)
-                        if not seen[z]:
-                            seen[z] = True
-                            orbit.append(z)
-                            nxt.append(z)
-                frontier = nxt
-            classes.append(sorted(orbit))
-        self._classes = classes
-        return classes
-
     def normalizer(self, sub: Iterable[int]) -> list[int]:
-        sub_set = frozenset(sub)
-        gens = self.small_gens(sub_set)
-        out = []
-        for g in range(self.n):
-            ginv = self.inv(g)
-            if all(self.mul(self.mul(g, x), ginv) in sub_set for x in gens):
-                out.append(g)
-        return out
+        """g normalizes S iff g x lies in the right coset S g for every
+        generator x of S."""
+        gens = self.small_gens(sub)
+        lab = self.orbits([self.left(s) for s in gens])
+        keep = np.ones(self.n, dtype=bool)
+        for x in gens:
+            keep &= lab[self.right(x)] == lab
+        return np.flatnonzero(keep).tolist()
 
     def center(self) -> list[int]:
-        return [g for g in range(self.n)
-                if all(self.mul(g, x) == self.mul(x, g) for x in self.gen_idx)]
+        keep = np.ones(self.n, dtype=bool)
+        for x in self.gen_idx:
+            keep &= self.right(x) == self.left(x)
+        return np.flatnonzero(keep).tolist()
 
     def sylow(self, p: int) -> list[int]:
-        np_ = self.n
         pk = 1
-        while np_ % p == 0:
-            np_ //= p
+        while self.n % (pk * p) == 0:
             pk *= p
         if pk == 1:
             return [0]
-        # cyclic p-subgroup of maximal element order
-        best = 0
-        best_ord = 1
-        for x in range(self.n):
-            o = self.order_of(x)
-            op = 1
-            while o % p == 0:
-                o //= p
-                op *= p
-            if op > best_ord:
-                # o is now the p'-part, so x^o has order op
-                best, best_ord = self.power(x, o), op
-        cur = self.closure([best])
+        # cyclic p-subgroup of maximal element order: the first element whose
+        # order has the largest p-part, raised to its p'-part
+        orders = self.element_orders()
+        ppart = np.gcd(orders, pk)
+        x = int(np.argmax(ppart))
+        cur = self.closure([self.power(x, int(orders[x] // ppart[x]))])
         while len(cur) < pk:
-            nz = self.normalizer(cur)
-            grown = False
-            for ncand in nz:
+            for ncand in self.normalizer(cur):
                 if ncand in cur:
                     continue
                 o = self.order_of(ncand)
-                opp = o
-                while opp % p == 0:
-                    opp //= p
-                w = self.power(ncand, opp)
-                if w not in cur and w != 0:
+                w = self.power(ncand, o // gcd(o, pk))
+                if w not in cur:
                     cur = self.closure(set(cur) | {w})
-                    grown = True
                     break
-            if not grown:
+            else:
                 raise RuntimeError("sylow climb stalled")
         if len(cur) != pk:
             raise RuntimeError(f"sylow climb overshot: {len(cur)} != {pk}")
@@ -332,145 +382,89 @@ class GroupTable:
 
     def o_pprime(self, p: int) -> frozenset[int]:
         """Largest normal subgroup of order coprime to p."""
+        orders = self.element_orders()
         core = frozenset({0})
         changed = True
         while changed:
             changed = False
-            for cls in self.conjugacy_classes():
-                x = cls[0]
-                if x in core or self.order_of(x) % p == 0:
+            for x in self._class_index()[0].tolist():
+                if x in core or orders[x] % p == 0:
                     continue
                 cand = self.normal_closure(set(core) | {x})
-                if all(self.order_of(y) % p != 0 for y in cand):
-                    if len(cand) > len(core):
-                        core = cand
-                        changed = True
+                if not np.any(orders[sorted(cand)] % p == 0) and len(cand) > len(core):
+                    core = cand
+                    changed = True
         return core
 
     # -- abelianization -------------------------------------------------------
 
     def abelianization_pprime(self, p: int) -> "AbelianPPrime":
-        der = self.derived_subgroup()
-        der_sorted = sorted(der)
-        coset_of = [-1] * self.n
-        reps = []
-        for x in range(self.n):
-            if coset_of[x] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(x)
-            for d in der_sorted:
-                coset_of[self.mul(d, x)] = cid
+        # cosets of the derived subgroup D: orbits of left multiplication by D
+        dgens = self.small_gens(self.derived_subgroup())
+        reps, coset_arr = self.orbit_index(self.orbits([self.left(d) for d in dgens]))
+        reps = reps.tolist()
+        coset_of = coset_arr.tolist()
         m = len(reps)
 
         def qmul(a: int, b: int) -> int:
             return coset_of[self.mul(reps[a], reps[b])]
 
         def qpow(a: int, k: int) -> int:
-            out = coset_of[0]
-            b = a
-            while k:
-                if k & 1:
-                    out = qmul(out, b)
-                b = qmul(b, b)
-                k >>= 1
-            return out
+            return coset_of[self.power(reps[a], k)]
 
-        qorder = [0] * m
-        for a in range(m):
-            o = 1
-            x = a
-            while x != coset_of[0]:
-                x = qmul(x, a)
-                o += 1
-            qorder[a] = o
-        # p'-part projection: s = 1 mod p'-exponent, 0 mod p-exponent
-        exp_all = 1
-        for o in qorder:
-            exp_all = exp_all * o // gcd(exp_all, o)
-        exp_p = 1
-        while exp_all % (exp_p * p) == 0:
-            exp_p *= p
-        exp_pp = exp_all // exp_p
-        s = 0
-        if exp_p == 1:
-            s = 1
-        else:
-            for t in range(exp_all):
-                if t % exp_pp == 1 % exp_pp and t % exp_p == 0:
-                    s = t
-                    break
+        def order_mod(a: int, span) -> int:
+            # order of coset a in the quotient by the subgroup span
+            o, x = 1, a
+            while x not in span:
+                o, x = o + 1, qmul(x, a)
+            return o
+
+        qorder = [order_mod(a, {0}) for a in range(m)]
+        # p'-part projection: s = 0 mod the p-part of the exponent and
+        # 1 mod its p'-part
+        exp_all = lcm(*qorder)
+        exp_p = gcd(exp_all, p ** exp_all.bit_length())
+        s = exp_p * pow(exp_p, -1, exp_all // exp_p) % exp_all
         pprime_ids = sorted({qpow(a, s) for a in range(m)})
         pset = set(pprime_ids)
-        # invariant-factor decomposition by greedy maximal order
+        # invariant-factor decomposition by greedy maximal order; the span of
+        # gens_q is the image of the subgroup that D and their cosets generate
         gens_q: list[int] = []
         orders: list[int] = []
-        span = {coset_of[0]}
-
-        def span_with(extra_gens):
-            cur = {coset_of[0]}
-            frontier = [coset_of[0]]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in extra_gens:
-                        b = qmul(a, g)
-                        if b not in cur:
-                            cur.add(b)
-                            nxt.append(b)
-                frontier = nxt
-            return cur
+        span = {0}
 
         while len(span) < len(pset):
             best_a, best_o = None, 0
             for a in pprime_ids:
-                if a in span:
-                    continue
-                o = qorder[a]
-                # order in quotient by current span
-                oq = 1
-                x = a
-                while x not in span:
-                    x = qmul(x, a)
-                    oq += 1
-                if oq > best_o:
-                    best_a, best_o = a, oq
-            # adjust to an element of true order best_o modulo span: find
-            # h with h^best_o = identity by scanning the coset h*span
-            a = best_a
+                if a not in span and (o := order_mod(a, span)) > best_o:
+                    best_a, best_o = a, o
+            # adjust to an element of true order best_o that keeps order
+            # best_o modulo span, scanning the coset best_a * span
             fixed = None
             for d in sorted(span):
-                h = qmul(a, d)
-                if h in pset and qorder[h] == best_o:
-                    # check h still has order best_o modulo span
-                    oq = 1
-                    x = h
-                    while x not in span:
-                        x = qmul(x, h)
-                        oq += 1
-                    if oq == best_o:
-                        fixed = h
-                        break
+                h = qmul(best_a, d)
+                if h in pset and qorder[h] == best_o and order_mod(h, span) == best_o:
+                    fixed = h
+                    break
             if fixed is None:
                 raise RuntimeError("abelian decomposition lift failed")
             gens_q.append(fixed)
             orders.append(best_o)
-            span = span_with(gens_q)
+            grown = self._grow(dgens + [reps[g] for g in gens_q])[0]
+            span = set(coset_arr[grown].tolist())
         # coordinates for every p'-part element
         coords: dict[int, tuple[int, ...]] = {}
         from itertools import product as iproduct
         for tup in iproduct(*[range(o) for o in orders]):
-            x = coset_of[0]
+            x = 0
             for g, k in zip(gens_q, tup):
                 x = qmul(x, qpow(g, k))
             if x not in coords:
                 coords[x] = tup
         if len(coords) != len(pset):
             raise RuntimeError("abelian decomposition does not cover the p'-part")
-        proj = np.zeros((self.n, len(orders)), dtype=np.int64)
-        for x in range(self.n):
-            comp = qpow(coset_of[x], s)
-            proj[x] = coords[comp]
+        proj = np.array([coords[qpow(a, s)] for a in range(m)],
+                        dtype=np.int64).reshape(m, len(orders))[coset_arr]
         order_idx = sorted(range(len(orders)), key=lambda i: orders[i])
         orders_f = tuple(orders[i] for i in order_idx)
         if orders:
@@ -506,7 +500,8 @@ class GroupTable:
 
     def conjugates(self, sub: frozenset[int], P: Iterable[int]) -> set[frozenset[int]]:
         """The orbit {g sub g^-1 : g in P} of a subgroup under a subgroup P."""
-        return {frozenset(self.conj(g, x) for x in sub) for g in P}
+        sub = sorted(sub)
+        return {frozenset(self.conjugation(g)[sub].tolist()) for g in P}
 
     def subgroups_up_to_conj(self, P: Sequence[int]) -> list[tuple[int, ...]]:
         """All subgroups of the subgroup P (<= 64 elements) up to P-conjugacy.
@@ -573,13 +568,6 @@ class AbelianPPrime:
     orders: tuple[int, ...]
     exponent: int
     proj: np.ndarray
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for o in self.orders:
-            out *= o
-        return out
 
 
 # -- group files --------------------------------------------------------------

@@ -4,13 +4,16 @@ quotients.
 
 A module is stored as one matrix per group generator (column-vector action,
 so R(g) R(h) = R(gh)); matrices for arbitrary elements are evaluated through
-the enumeration's parent chain and memoized.  Induction of a linear character
-lambda from N to G uses a right transversal G = union of N t_i, with all
-coset and double-coset combinatorics cached per (G, N) pair in an
-InducedContext so that every lambda reuses them.
+the enumeration's parent chain and memoized.  Subgroups are group tables
+enumerated on ambient indices (subgroup_table), so restriction reads their
+generators directly.  Induction of a linear character lambda from N to G uses
+a right transversal G = union of N t_i, with all coset and double-coset
+combinatorics taken from the orbit labeller of G and cached per (G, N) pair
+in an InducedContext so that every lambda reuses them.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -18,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .ffla import FieldTable, FMatrix, gauss, kron, solve_right
-from .grp import AbelianPPrime, GroupTable
+from .grp import AbelianPPrime, GroupTable, SubgroupOps
 
 __all__ = [
     "LinearCharacter",
@@ -119,12 +122,11 @@ class ModuleRep:
         return memo[i]
 
     def restrict(self, sub: GroupTable) -> "ModuleRep":
-        """Restriction to a subgroup re-enumerated on its own generators.
-
-        The subgroup table must hold raw elements of the same ops object.
-        """
-        mats = [self.at(self.table.idx(g)) for g in sub.gens]
-        return ModuleRep(sub, self.field, mats)
+        """Restriction to a subgroup table of self.table (subgroup_table)."""
+        if not (isinstance(sub.ops, SubgroupOps) and sub.ops.ambient is self.table):
+            raise ValueError("restriction to a table that is not a subgroup "
+                             "table of the module's group")
+        return ModuleRep(sub, self.field, [self.at(g) for g in sub.gens])
 
     def tensor(self, other: "ModuleRep") -> "ModuleRep":
         if self.table is not other.table:
@@ -144,22 +146,28 @@ def one_dim_module(ntable: GroupTable, lam: LinearCharacter) -> ModuleRep:
 
 
 def subgroup_table(G: GroupTable, indices: Iterable[int]) -> GroupTable:
-    """Group table of a subgroup on its own small generating set."""
+    """Group table of a subgroup on its own small generating set.
+
+    The enumeration runs on ambient indices: its elements are G-indices and
+    its product is G.mul, so elements[j] is the G-index of the j-th element.
+    """
     idx = list(indices)
-    gens = [G.elements[i] for i in G.small_gens(idx)]
-    if not gens:
-        gens = [G.elements[0]]
-    return GroupTable(G.ops, gens, cap=len(idx) + 1)
+    return GroupTable(SubgroupOps(G), G.small_gens(idx) or [0], cap=len(idx) + 1)
 
 
 class InducedContext:
     """Coset and double-coset data for inducing characters from N up to G.
 
-    Right transversal t_0 = 1, t_1, ... chosen as lowest element indices;
-    arrays over G: coset_of, npart (x = npart * t_coset), dc_of, nnprod (a
-    product n1*n2 from some factorization x = n1 * rep * n2).  Per double
-    coset, diffs holds the N-table indices whose lambda-values must all be 1
-    for the coset to carry a Hecke basis element.
+    Every array comes from the orbit labeller of G: the right cosets N x are
+    the orbits of left multiplication by N, the double cosets N x N those of
+    left and right multiplication, and each is numbered by its least index.
+    The right transversal t_0 = 1, t_1, ... is that least index of each coset.
+    Arrays over G: coset_of, npart (x = npart * t_coset), dc_of, nnprod (n1*n2
+    for the least pair (n1, n2) with x = n1 * rep * n2).  dc_meet[k, d] is the
+    N-table index of x^-1 n_k x, for n_k the k-th element of N and x the
+    representative of double coset d, when that lies in N, and -1 otherwise:
+    the coset carries a Hecke basis element for lambda exactly when
+    lambda(n_k) = lambda(x^-1 n_k x) wherever the latter is defined.
     """
 
     def __init__(self, G: GroupTable, n_indices: Sequence[int]):
@@ -171,46 +179,32 @@ class InducedContext:
                                f"subgroup of order {self.ntable.order}")
         # map G-index -> N-table index
         self.g2n = np.full(G.order, -1, dtype=np.int64)
-        for i in self.n_indices:
-            self.g2n[i] = self.ntable.index[G.ops.key(G.elements[i])]
+        self.g2n[self.ntable.elements] = np.arange(self.ntable.order)
 
-        # right transversal and coset decomposition
-        self.coset_of = np.full(G.order, -1, dtype=np.int64)
+        lefts = [G.left(n) for n in self.ntable.gens]
+        trans, self.coset_of = G.orbit_index(G.orbits(lefts))
+        self.transversal: list[int] = trans.tolist()
+        self.dim = len(trans)
+        reps, self.dc_of = G.orbit_index(
+            G.orbits(lefts + [G.right(n) for n in self.ntable.gens]))
+        self.dc_reps: list[int] = reps.tolist()
+
+        # one left multiplication by each n1 of N, in increasing order, fills
+        # npart over n1 * t and nnprod over n1 * rep * n2; n1 * x = x * b with
+        # b = x^-1 n1 x in N exactly when n1 * x * n2 = x for n2 = b^-1
+        nn = np.array(self.n_indices)
+        xn = np.stack([G.right(n)[reps] for n in self.n_indices], axis=1)
         self.npart = np.full(G.order, -1, dtype=np.int64)
-        self.transversal: list[int] = []
-        for x in range(G.order):
-            if self.coset_of[x] >= 0:
-                continue
-            c = len(self.transversal)
-            self.transversal.append(x)
-            for n in self.n_indices:
-                y = G.mul(n, x)
-                self.coset_of[y] = c
-                self.npart[y] = n
-        self.dim = len(self.transversal)
-
-        # double cosets with difference sets for Hecke goodness
-        self.dc_of = np.full(G.order, -1, dtype=np.int64)
         self.nnprod = np.full(G.order, -1, dtype=np.int64)
-        self.dc_reps: list[int] = []
-        self.dc_diffs: list[set[int]] = []
-        for x in range(G.order):
-            if self.dc_of[x] >= 0:
-                continue
-            d = len(self.dc_reps)
-            self.dc_reps.append(x)
-            diffs: set[int] = set()
-            for n1 in self.n_indices:
-                lead = G.mul(n1, x)
-                for n2 in self.n_indices:
-                    y = G.mul(lead, n2)
-                    pr = G.mul(n1, n2)
-                    if self.dc_of[y] < 0:
-                        self.dc_of[y] = d
-                        self.nnprod[y] = pr
-                    else:
-                        diffs.add(G.mul(G.inv(int(self.nnprod[y])), pr))
-            self.dc_diffs.append({int(self.g2n[t]) for t in diffs})
+        self.dc_meet = np.full((len(nn), len(reps)), -1, dtype=np.int64)
+        for k, n1 in enumerate(self.n_indices):
+            left = G.left(n1)
+            self.npart[left[trans]] = n1
+            y = left[xn]
+            new = self.nnprod[y] < 0
+            self.nnprod[y[new]] = left[nn][np.nonzero(new)[1]]
+            r, c = np.nonzero(y == reps[:, None])
+            self.dc_meet[k, r] = self.g2n[G.inverses()[nn[c]]]
         self._pairprod: Optional[np.ndarray] = None
 
     # dc reps are minimal in their double coset, hence transversal elements
@@ -219,14 +213,13 @@ class InducedContext:
 
     @property
     def pairprod(self) -> np.ndarray:
-        """index of t_i * t_j^-1, dim x dim."""
+        """index of t_i * t_j^-1, dim x dim: column j is one right
+        multiplication by t_j^-1."""
         if self._pairprod is None:
-            t = self.transversal
-            tinv = [self.G.inv(j) for j in t]
+            trans = self.transversal
             arr = np.empty((self.dim, self.dim), dtype=np.int64)
-            for i, ti in enumerate(t):
-                for j in range(self.dim):
-                    arr[i, j] = self.G.mul(ti, tinv[j])
+            for j, tinv in enumerate(self.G.inverses()[trans].tolist()):
+                arr[:, j] = self.G.right(tinv)[trans]
             self._pairprod = arr
         return self._pairprod
 
@@ -239,11 +232,9 @@ class InducedContext:
 
     def good_dcs(self, lam: LinearCharacter) -> list[int]:
         """Double cosets carrying a Hecke basis element for lambda."""
-        out = []
-        for d, diffs in enumerate(self.dc_diffs):
-            if all(lam.value(t) == 1 for t in diffs):
-                out.append(d)
-        return out
+        meet = self.dc_meet
+        agree = lam.vals[meet] == lam.vals[self.g2n[self.n_indices]][:, None]
+        return np.flatnonzero(~np.any((meet >= 0) & ~agree, axis=0)).tolist()
 
     def induce(self, lam: LinearCharacter) -> ModuleRep:
         """Module of lambda induced up to G; dim = [G:N], permutation-like
@@ -252,12 +243,11 @@ class InducedContext:
             raise ValueError("character of another subgroup table")
         f = lam.field
         mats = []
-        for gidx in self.G.gen_idx:
+        rows = np.arange(self.dim)
+        for col in self.G.edges:
+            y = col[self.transversal]
             m = np.zeros((self.dim, self.dim), dtype=f.dtype)
-            for i, ti in enumerate(self.transversal):
-                y = self.G.mul(ti, gidx)
-                j = int(self.coset_of[y])
-                m[i, j] = lam.value(int(self.g2n[self.npart[y]]))
+            m[rows, self.coset_of[y]] = lam.vals[self.g2n[self.npart[y]]]
             mats.append(FMatrix(f, m))
         return ModuleRep(self.G, f, mats)
 
@@ -314,11 +304,21 @@ class BrauerQuotient:
         return int(sol.a[-1, 0])
 
 
+_MAXIMAL: "weakref.WeakKeyDictionary[GroupTable, dict]" = weakref.WeakKeyDictionary()
+
+
 def _maximal_subgroups(table: GroupTable, indices: Sequence[int], p: int
                        ) -> list[frozenset[int]]:
-    """Maximal subgroups (index p) of a p-subgroup given by ambient indices."""
-    n = len(list(indices))
-    return [s for s in table.subgroups(indices) if len(s) * p == n]
+    """Maximal subgroups (index p) of a p-subgroup given by ambient indices,
+    found on the subgroup's own table and memoized per table."""
+    key = (tuple(sorted(indices)), p)
+    memo = _MAXIMAL.setdefault(table, {})
+    if key not in memo:
+        sub = subgroup_table(table, key[0])
+        memo[key] = sorted((frozenset(sub.elements[j] for j in s)
+                            for s in sub.subgroups(range(sub.order))
+                            if len(s) * p == sub.order), key=sorted)
+    return memo[key]
 
 
 def brauer_quotient(rep: ModuleRep, sub_indices: Sequence[int], p: int
@@ -345,11 +345,11 @@ def brauer_quotient(rep: ModuleRep, sub_indices: Sequence[int], p: int
                 continue
             reps.append(x)
             seen.update(table.mul(m, x) for m in mx)
-        acc = np.zeros((rep.dim, rep.dim), dtype=np.int64)
+        acc = np.zeros((rep.dim, rep.dim), dtype=f.dtype)
         for q in reps:
-            acc = f.add_vec(acc, rep.at(q).a.astype(np.int64)).astype(np.int64)
+            acc = f.add_vec(acc, rep.at(q).a)
         # rows fr.a are fixed vectors v of mx; traces are (sum_q rep(q)) v
-        tr = f.matmul(fr.a, np.ascontiguousarray(acc.T).astype(f.dtype))
+        tr = f.matmul(fr.a, np.ascontiguousarray(acc.T))
         image_rows.append(tr)
     if image_rows:
         reduced = gauss(FMatrix(f, np.vstack(image_rows)))

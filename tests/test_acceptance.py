@@ -294,8 +294,8 @@ def test_hecke_dimension_against_double_coset_count(name):
         for x in dcs:
             xi = G.inv(x)
             agree = all(
-                lam.value(nt.idx(G.elements[n])) ==
-                lam.value(nt.idx(G.elements[G.mul(G.mul(xi, n), x)]))
+                lam.value(nt.idx(n)) ==
+                lam.value(nt.idx(G.mul(G.mul(xi, n), x)))
                 for n in nidx if G.mul(G.mul(xi, n), x) in nset)
             good += 1 if agree else 0
         assert HeckeEnd(ctx, lam).dim_alg == good

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from endotriv import catalog, cli
-from endotriv.grp import (GroupTable, PermOps, parse_group_file,
-                          serialize_group_file)
+from endotriv import catalog, cli, etk, ffla
+from endotriv.grp import (MAX_PERM_DEGREE, GroupTable, PermOps,
+                          parse_group_file, serialize_group_file)
 
 
 def run_main(capsys, *argv):
@@ -431,3 +431,89 @@ def test_catalog_validation_small_entries():
         table = entry.builder()
         catalog.validate_entry(entry, table)
         assert table.order == entry.order
+
+
+# -- hostile tensor powers, permutation degrees and argument fuzz --------------
+
+@pytest.mark.parametrize("group", ["A4", "A5"])
+def test_huge_tensor_power_exits_in_subprocess(src_env, group):
+    """--tensor-power 10^9 once spent minutes on the big integer dim^m and on
+    m - 1 Kronecker steps of the 1-dimensional correspondents; the
+    subprocess timeout turns a hang into a failure."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "endotriv.cli", "analyze", "--group", group,
+         "--tensor-power", "1000000000"], capture_output=True, env=src_env,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    rep = json.loads(proc.stdout)
+    for tp in rep["tensor_power"]:
+        assert tp["power"] == 1000000000
+        assert tp["verdict"] == "one_dimensional_plus_projective"
+
+
+def test_tensor_power_by_squaring_matches_repeated_kron():
+    res = cli.compute_K(catalog.build_group("A5")[0], 2, cli.field_make(2, 2))
+    for rec in res.records:
+        mats = list(rec.rep.gen_mats)
+        cur = list(mats)
+        for m in range(2, 5):
+            cur = [ffla.kron(a, b) for a, b in zip(cur, mats)]
+            got = etk._kron_power(mats, m)
+            assert [g.a.tolist() for g in got] == [c.a.tolist() for c in cur]
+
+
+@pytest.mark.parametrize("degree", [MAX_PERM_DEGREE + 1, 10 ** 18])
+def test_oversized_perm_degree_exits_1(tmp_path, src_env, degree):
+    path = tmp_path / "big.grp"
+    path.write_text(f"perm {degree}\n(1 2)\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "endotriv.cli", "analyze", "--group", str(path)],
+        capture_output=True, env=src_env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (f"error: permutation degree {degree} "
+                                    f"exceeds the limit {MAX_PERM_DEGREE}\n")
+
+
+@given(prime=st.one_of(st.none(), st.sampled_from([2, 3]), st.integers(-3, 40)),
+       degree=st.one_of(st.none(), st.integers(-2, 24)),
+       seed=st.one_of(st.none(), st.integers(-2 ** 70, 2 ** 70)),
+       power=st.one_of(st.none(), st.integers(-5, 10 ** 12)),
+       budget=st.one_of(st.none(), st.integers(-10, 1200)),
+       fmt=st.sampled_from([None, "json", "text"]))
+@settings(max_examples=60, deadline=None)
+def test_analyze_argument_fuzz(prime, degree, seed, power, budget, fmt):
+    argv = ["analyze", "--group", "A4"]
+    for flag, value in (("--prime", prime), ("--field-degree", degree),
+                        ("--seed", seed), ("--tensor-power", power),
+                        ("--tensor-budget", budget), ("--format", fmt)):
+        if value is not None:
+            argv += [flag, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+NUMPY_MA = """
+import contextlib, io, sys
+from endotriv import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["analyze", "--group", "A5"])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_a5_run_does_not_import_numpy_ma(src_env):
+    """numpy.ma costs about 1.6 MiB of resident memory when imported."""
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA],
+                          capture_output=True, env=src_env, timeout=120)
+    assert proc.stdout.decode() == "0 False\n", proc.stderr.decode()

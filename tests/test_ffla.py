@@ -95,6 +95,12 @@ def test_vector_ops_match_scalar_loops(fi, data):
                                     max_size=n)), dtype=np.int64)
     assert [f.add(int(x), int(y)) for x, y in zip(a, b)] == \
         list(f.add_vec(a, b))
+    # operands in any mix of the code dtypes add to the same codes
+    for da, db in ((np.uint8, np.int64), (np.int64, np.uint8),
+                   (np.uint8, np.uint8), (f.dtype, f.dtype)):
+        got = f.add_vec(a.astype(da), b.astype(db))
+        assert got.dtype == f.dtype
+        assert got.tolist() == f.add_vec(a, b).tolist()
     assert [f.mul(int(x), int(y)) for x, y in zip(a, b)] == \
         list(f.mul_vec(a, b))
     assert [f.neg(int(x)) for x in a] == list(f.neg_vec(a))

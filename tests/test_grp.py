@@ -100,7 +100,7 @@ def check_edges_against_raw(G, right=None):
         return G.idx(ops.mul(a, b))
 
     for i, x in enumerate(G.elements):
-        assert G._edges[i] == [raw_mul(x, g) for g in G.gens]
+        assert G.edges[:, i].tolist() == [raw_mul(x, g) for g in G.gens]
         assert G.inv(i) == G.idx(ops.inv(x))
     for j in range(G.order) if right is None else right:
         y = G.elements[j]
@@ -374,3 +374,101 @@ def test_random_perm_groups_lagrange(degree, data):
         assert G.order % G.order_of(i) == 0
     sub = G.closure([data.draw(st.integers(0, G.order - 1))])
     assert G.order % len(sub) == 0
+
+
+# -- array primitives against scalar products and brute force -----------------
+# The references below are the scalar loops the orbit labeller replaced: each
+# walks elements one at a time through G.mul, G.inv and G.conj, which
+# test_edge_mul_matches_raw checks against the raw permutation products.
+
+def _random_perm_group(data, max_degree):
+    degree = data.draw(st.integers(1, max_degree))
+    gens = [tuple(data.draw(st.permutations(range(degree))))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    return GroupTable(PermOps(degree), gens)
+
+
+def _scalar_closure(G, seed):
+    seen = {0} | set(seed)
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for x in frontier for g in seed
+                    for y in [G.mul(x, g)] if y not in seen and not seen.add(y)]
+    return frozenset(seen)
+
+
+def _scalar_orbit_labels(G, hs, ks=()):
+    """Least element of every double coset <hs> x <ks>, by a breadth-first
+    orbit through left products with hs and right products with ks."""
+    lab = [-1] * G.order
+    for x in range(G.order):
+        if lab[x] >= 0:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            frontier = [z for y in frontier
+                        for z in [G.mul(h, y) for h in hs] + [G.mul(y, k) for k in ks]
+                        if z not in orbit and not orbit.add(z)]
+        for y in orbit:
+            lab[y] = x
+    return lab
+
+
+def _scalar_classes(G):
+    seen, classes = set(), []
+    for x in range(G.order):
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            frontier = [z for y in frontier for g in G.gen_idx
+                        for z in [G.conj(g, y)] if z not in orbit and not orbit.add(z)]
+        seen |= orbit
+        classes.append(sorted(orbit))
+    return classes
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_right_and_left_match_scalar_mul(data):
+    G = _random_perm_group(data, 7)
+    for j in data.draw(st.lists(st.integers(0, G.order - 1), min_size=1,
+                                max_size=4)):
+        assert G.right(j).tolist() == [G.mul(i, j) for i in range(G.order)]
+        assert G.left(j).tolist() == [G.mul(j, i) for i in range(G.order)]
+    assert all(G.mul(x, y) == 0 for x, y in enumerate(G.inverses().tolist()))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_sweeps_match_brute_force(data):
+    G = _random_perm_group(data, 7)
+    pick = st.lists(st.integers(0, G.order - 1), min_size=1, max_size=2)
+    hs, ks = data.draw(pick), data.draw(pick)
+    H = sorted(_scalar_closure(G, hs))
+    assert sorted(G.closure(hs)) == H
+    assert G.closure(G.small_gens(H)) == frozenset(H)
+    # right cosets H x, left cosets x K and double cosets H x K
+    lefts = [G.left(h) for h in hs]
+    rights = [G.right(k) for k in ks]
+    assert G.orbits(lefts).tolist() == _scalar_orbit_labels(G, hs)
+    assert G.orbits(rights).tolist() == _scalar_orbit_labels(G, (), ks)
+    assert G.orbits(lefts + rights).tolist() == _scalar_orbit_labels(G, hs, ks)
+    assert G.conjugacy_classes() == _scalar_classes(G)
+    assert G.center() == [g for g in range(G.order)
+                          if all(G.mul(g, x) == G.mul(x, g) for x in G.gen_idx)]
+    Hset = set(H)
+    assert G.normalizer(H) == [g for g in range(G.order)
+                               if all(G.conj(g, h) in Hset for h in hs)]
+    for x in range(G.order):
+        m, y = 1, x
+        while y != 0:
+            m, y = m + 1, G.mul(y, x)
+        assert G.order_of(x) == m
+
+
+def test_orbits_of_a_long_cycle():
+    """One generator of order 1000: its orbit is a single long cycle."""
+    G = cyclic(1000)
+    assert not G.orbits([G.right(G.gen_idx[0])]).any()
+    assert G.orbits([]).tolist() == list(range(1000))

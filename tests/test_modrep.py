@@ -7,7 +7,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from endotriv import catalog
 from endotriv.etk import bq_character
 from endotriv.ffla import FMatrix, field_make, gauss
 from endotriv.grp import GroupTable, PermOps
@@ -118,7 +120,7 @@ def test_restrict_tensor_dual():
     pt = subgroup_table(G, P)
     rest = rep.restrict(pt)
     for j in range(pt.order):
-        amb = G.idx(pt.elements[j])
+        amb = pt.elements[j]
         assert rest.at(j).a.tolist() == rep.at(amb).a.tolist()
     tens = rep.tensor(rep)
     assert tens.dim == 25
@@ -279,7 +281,7 @@ def test_induced_module_is_homomorphism(a5ctx):
         # restriction to N acts on the identity-coset line by lambda
         for n in ctx.n_indices:
             col = ind.at(n).a[:, 0]
-            assert col[0] == lam.value(ctx.ntable.idx(G.elements[n]))
+            assert col[0] == lam.value(ctx.ntable.idx(n))
 
 
 def test_calling_convention_errors(a5ctx):
@@ -320,10 +322,112 @@ def test_good_double_cosets(a5ctx):
             for x in ctx.n_indices:
                 y = G.mul(G.mul(gi, x), g)
                 if y in nset:
-                    if lam.value(nt.idx(G.elements[x])) != \
-                            lam.value(nt.idx(G.elements[y])):
+                    if lam.value(nt.idx(x)) != \
+                            lam.value(nt.idx(y)):
                         ok = False
                         break
             if ok:
                 good.append(d)
         assert ctx.good_dcs(lam) == good
+
+
+# -- the scalar coset loops as the reference for InducedContext ----------------
+
+def reference_induced_context(G, n_indices):
+    """The per-element coset and double-coset loops InducedContext ran before
+    the orbit labeller: transversal, coset_of, npart, dc_reps, dc_of, nnprod,
+    the difference sets dc_diffs (N-table indices whose lambda-values must be
+    1) and pairprod."""
+    nt = subgroup_table(G, n_indices)
+    N = sorted(n_indices)
+    coset_of, npart, trans = [-1] * G.order, [-1] * G.order, []
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            trans.append(x)
+            for n in N:
+                coset_of[G.mul(n, x)] = len(trans) - 1
+                npart[G.mul(n, x)] = n
+    dc_of, nnprod, reps, diffs = [-1] * G.order, [-1] * G.order, [], []
+    for x in range(G.order):
+        if dc_of[x] >= 0:
+            continue
+        reps.append(x)
+        d = set()
+        for n1 in N:
+            for n2 in N:
+                y, pr = G.mul(G.mul(n1, x), n2), G.mul(n1, n2)
+                if dc_of[y] < 0:
+                    dc_of[y], nnprod[y] = len(reps) - 1, pr
+                else:
+                    d.add(nt.idx(G.mul(G.inv(nnprod[y]), pr)))
+        diffs.append(d)
+    pairprod = [[G.mul(ti, G.inv(tj)) for tj in trans] for ti in trans]
+    return dict(transversal=trans, coset_of=coset_of, npart=npart,
+                dc_reps=reps, dc_of=dc_of, nnprod=nnprod, dc_diffs=diffs,
+                pairprod=pairprod)
+
+
+def check_against_reference(G, n_indices):
+    ctx = InducedContext(G, n_indices)
+    ref = reference_induced_context(G, n_indices)
+    for key in ("transversal", "coset_of", "npart", "dc_reps", "dc_of",
+                "nnprod", "pairprod"):
+        assert np.asarray(getattr(ctx, key)).tolist() == ref[key], key
+    # the difference sets and the meets N cap xNx^-1 state one condition:
+    # lambda(a) = lambda(x^-1 a x) on the meet exactly when lambda is 1 on
+    # the differences, so both generate one normal subgroup of N
+    nt = ctx.ntable
+    assert ctx.dc_meet.shape == (nt.order, len(ref["dc_diffs"]))
+    for col, diffs in zip(ctx.dc_meet.T.tolist(), ref["dc_diffs"]):
+        quot = {nt.mul(nt.idx(n), nt.inv(b))
+                for n, b in zip(ctx.n_indices, col) if b >= 0}
+        assert nt.normal_closure(quot) == nt.normal_closure(diffs)
+    return ctx
+
+
+@pytest.mark.parametrize("name", ["A4", "A5", "S4", "D16", "PSL(2,7)",
+                                  "PGL(2,5)", "PSL(2,9)"])
+def test_induced_context_matches_scalar_loops(name):
+    G = catalog.lookup(name).builder()
+    check_against_reference(G, G.normalizer(G.sylow(2)))
+    check_against_reference(G, G.sylow(2))
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_induced_context_matches_scalar_loops_on_random_subgroups(data):
+    degree = data.draw(st.integers(1, 5))
+    gens = [tuple(data.draw(st.permutations(range(degree))))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    G = GroupTable(PermOps(degree), gens)
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
+    check_against_reference(G, G.closure(seed))
+
+
+# -- subgroup tables on ambient indices ----------------------------------------
+
+@pytest.mark.parametrize("name", ["A4", "A5", "S4", "D16", "PSL(2,7)",
+                                  "PGL(2,9)", "PGL(2,13)", "3A6"])
+def test_subgroup_tables_match_raw_reenumeration(name):
+    """The ambient-index enumeration visits the same generators in the same
+    order as a re-enumeration of the raw elements, so every index agrees."""
+    G = catalog.lookup(name).builder()
+    P = G.sylow(2)
+    for idx in (P, G.normalizer(P)):
+        sub = subgroup_table(G, idx)
+        raw = GroupTable(G.ops, [G.elements[i] for i in G.small_gens(idx)]
+                         or [G.elements[0]], cap=len(idx) + 1)
+        assert sub.elements == [G.idx(x) for x in raw.elements]
+        assert sub.edges.tolist() == raw.edges.tolist()
+        assert sub.gen_idx == raw.gen_idx
+        assert sub.gens == G.small_gens(idx)
+
+
+def test_restrict_rejects_a_foreign_table():
+    G = a5()
+    rep = perm_module(G, field_make(2, 1))
+    P = G.sylow(2)
+    with pytest.raises(ValueError, match="not a subgroup table"):
+        rep.restrict(subgroup_table(a5(), P))
+    with pytest.raises(ValueError, match="not a subgroup table"):
+        rep.restrict(G)

@@ -537,8 +537,8 @@ def test_hecke_dim_mackey_oracle(a5setup):
         for g in ctx.dc_reps:
             gi = G.inv(g)
             agree = all(
-                lam.value(nt.idx(G.elements[x])) ==
-                lam.value(nt.idx(G.elements[G.mul(G.mul(gi, x), g)]))
+                lam.value(nt.idx(x)) ==
+                lam.value(nt.idx(G.mul(G.mul(gi, x), g)))
                 for x in ctx.n_indices
                 if G.mul(G.mul(gi, x), g) in nset)
             total += 1 if agree else 0
