@@ -285,16 +285,15 @@ class BrauerQuotient:
                              f"not dimension {self.dim}")
         f = self.rep.field
         img = self.image.a
-        # pick a fixed row outside the image span
-        base = None
-        for r in range(self.fixed.a.shape[0]):
-            cand = np.vstack([img, self.fixed.a[r:r + 1]])
-            if FMatrix(f, cand).rank() == img.shape[0] + 1:
-                base = self.fixed.a[r]
-                break
-        if base is None:
+        k = img.shape[0]
+        # the image rows are independent, so on the columns [image | fixed]
+        # the first pivot past them is the first fixed row outside the image
+        pivots = gauss(FMatrix(f, np.vstack([img, self.fixed.a])).T).pivots
+        outside = [c for c in pivots if c >= k]
+        if not outside:
             raise RuntimeError("Brauer quotient of dimension 1 has no fixed row "
                                "outside the trace image")
+        base = self.fixed.a[outside[0] - k]
         w = self.rep.at(g) @ FMatrix(f, base[:, None].copy())
         basis = FMatrix(f, np.vstack([img, base[None, :]])).T
         sol = solve_right(basis, w)
@@ -308,16 +307,29 @@ _MAXIMAL: "weakref.WeakKeyDictionary[GroupTable, dict]" = weakref.WeakKeyDiction
 
 
 def _maximal_subgroups(table: GroupTable, indices: Sequence[int], p: int
-                       ) -> list[frozenset[int]]:
+                       ) -> list[tuple[frozenset[int], list[int]]]:
     """Maximal subgroups (index p) of a p-subgroup given by ambient indices,
-    found on the subgroup's own table and memoized per table."""
+    each with a right transversal in the subgroup, found on the subgroup's
+    own table and memoized per table.
+
+    The right cosets M x are the orbits of left multiplication by M; each is
+    represented by its least ambient index, and the transversal ascends.
+    """
     key = (tuple(sorted(indices)), p)
     memo = _MAXIMAL.setdefault(table, {})
     if key not in memo:
         sub = subgroup_table(table, key[0])
-        memo[key] = sorted((frozenset(sub.elements[j] for j in s)
-                            for s in sub.subgroups(range(sub.order))
-                            if len(s) * p == sub.order), key=sorted)
+        amb = sub.elements
+        out = []
+        for s in sub.subgroups(range(sub.order)):
+            if len(s) * p != sub.order:
+                continue
+            lab = sub.orbits([sub.left(j) for j in sub.small_gens(s)])
+            least: dict[int, int] = {}
+            for x, c in zip(amb, lab.tolist()):
+                least[c] = min(least.get(c, x), x)
+            out.append((frozenset(amb[j] for j in s), sorted(least.values())))
+        memo[key] = sorted(out, key=lambda mt: sorted(mt[0]))
     return memo[key]
 
 
@@ -334,17 +346,10 @@ def brauer_quotient(rep: ModuleRep, sub_indices: Sequence[int], p: int
                               FMatrix(f, np.zeros((0, rep.dim), dtype=f.dtype)),
                               fixed.a.shape[0])
     image_rows = []
-    for mx in _maximal_subgroups(table, sub, p):
+    for mx, reps in _maximal_subgroups(table, sub, p):
         fr = fixed_point_rows(rep, table.small_gens(mx))
         if fr.a.shape[0] == 0:
             continue
-        # transversal of sub over mx
-        reps, seen = [], set()
-        for x in sub:
-            if x in seen:
-                continue
-            reps.append(x)
-            seen.update(table.mul(m, x) for m in mx)
         acc = np.zeros((rep.dim, rep.dim), dtype=f.dtype)
         for q in reps:
             acc = f.add_vec(acc, rep.at(q).a)

@@ -155,21 +155,10 @@ def pxgcd(f: FieldTable, a: np.ndarray, b: np.ndarray
     return pscale(f, c, r0), pscale(f, c, u0), pscale(f, c, v0)
 
 
-def _int_times(f: FieldTable, k: int) -> int:
-    """the field element k * 1."""
-    v = 0
-    for _ in range(k % f.p):
-        v = f.add(v, 1)
-    return v
-
-
 def pderiv(f: FieldTable, a: np.ndarray) -> np.ndarray:
-    if len(a) <= 1:
-        return a[:0]
-    out = np.zeros(len(a) - 1, dtype=np.int64)
-    for i in range(1, len(a)):
-        out[i - 1] = f.mul(int(a[i]), _int_times(f, i))
-    return pstrip(out)
+    # the field element k * 1 has the code k mod p
+    ks = np.arange(1, len(a)) % f.p
+    return pstrip(f.mul_vec(a[1:], ks).astype(np.int64))
 
 
 def ppow_mod(f: FieldTable, a: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
@@ -646,17 +635,19 @@ def split_summands(ctx: InducedContext, lam: LinearCharacter,
     for e in prims:
         E = hecke.realize(e)
         red = gauss(E)
+        r = red.rank
         cols = np.ascontiguousarray(E.a[:, red.pivots])
         C = FMatrix(f, cols)
-        mats = []
-        for g in induced.gen_mats:
-            sol = solve_right(C, g @ C)
-            if sol is None:
-                raise RuntimeError("summand basis not invariant")
-            mats.append(sol)
+        # one solve C X = [g_1 C | g_2 C | ...] for every generator at once
+        images = np.hstack([f.matmul(g.a, cols) for g in induced.gen_mats])
+        sol = solve_right(C, FMatrix(f, images))
+        if sol is None:
+            raise RuntimeError("summand basis not invariant")
+        mats = [FMatrix(f, sol.a[:, k * r:(k + 1) * r])
+                for k in range(len(induced.gen_mats))]
         rep = ModuleRep(induced.table, f, mats)
-        out.append(Summand(rep, red.rank, e, C))
-        total += red.rank
+        out.append(Summand(rep, r, e, C))
+        total += r
     if total != induced.dim:
         raise RuntimeError(f"summand dimensions add to {total}, "
                            f"expected {induced.dim}")
@@ -668,62 +659,26 @@ def split_summands(ctx: InducedContext, lam: LinearCharacter,
 # ---------------------------------------------------------------------------
 # spinning, irreducibility (randomized), composition factors
 
-class RowSpan:
-    """Row space with incremental reduction."""
+def spin(f: FieldTable, mats: Sequence[FMatrix], seeds: np.ndarray) -> FMatrix:
+    """Smallest invariant subspace (column action) containing the seed rows,
+    as its RREF row basis.
 
-    def __init__(self, f: FieldTable, ncols: int):
-        self.f = f
-        self.ncols = ncols
-        self.rows: list[np.ndarray] = []
-        self.piv: dict[int, int] = {}
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        f = self.f
-        v = v.astype(np.int64).copy()
-        for c, r in self.piv.items():
-            if v[c]:
-                v = f.sub_vec(v, f.mul_vec(np.int64(int(v[c])), self.rows[r])).astype(np.int64)
-        return v
-
-    def add(self, v: np.ndarray) -> bool:
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return False
-        c = int(nz[0])
-        v = self.f.mul_vec(np.int64(self.f.inv(int(v[c]))), v).astype(np.int64)
-        self.piv[c] = len(self.rows)
-        self.rows.append(v)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def matrix(self) -> FMatrix:
-        if not self.rows:
-            return FMatrix(self.f, np.zeros((0, self.ncols), dtype=np.int64))
-        return FMatrix(self.f, np.stack(self.rows))
-
-
-def spin(f: FieldTable, mats: Sequence[FMatrix], seeds: np.ndarray) -> RowSpan:
-    """Smallest invariant subspace (column action) containing the seed rows."""
-    n = mats[0].a.shape[0] if mats else seeds.shape[1]
-    span = RowSpan(f, n)
-    frontier = []
-    for s in np.atleast_2d(seeds):
-        if span.add(s):
-            frontier.append(span.rows[-1])
+    Each round stacks the span with its images under every generator and
+    reduces the stack with one Gauss-Jordan, until the rank stops growing
+    or fills the space.
+    """
+    seeds = np.atleast_2d(seeds)
+    n = seeds.shape[1]
     tns = [np.ascontiguousarray(m.a.T) for m in mats]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for mt in tns:
-                w = f.matmul(v[None, :].astype(f.dtype), mt.astype(f.dtype))[0]
-                if span.add(w):
-                    nxt.append(span.rows[-1])
-        frontier = nxt
-    return span
+    red = gauss(FMatrix(f, seeds))
+    span = red.rref.a[: red.rank]
+    while span.shape[0] < n:
+        red = gauss(FMatrix(f, np.vstack([span] + [f.matmul(span, t)
+                                                   for t in tns])))
+        if red.rank == span.shape[0]:
+            break
+        span = red.rref.a[: red.rank]
+    return FMatrix(f, span)
 
 
 def _random_algebra_elem(f: FieldTable, mats: Sequence[FMatrix],
@@ -810,23 +765,23 @@ def is_irreducible(f: FieldTable, mats: Sequence[FMatrix], rng: random.Random
             return True, None
         g0 = fac[0][0]
         w = _mat_poly(f, g0, z)
-        d = n - w.rank()
+        null = gauss(w).kernel
+        d = null.shape[0]
         if d == 0 or d == n:
             continue
         if (q ** d - 1) // (q - 1) > 420:
             continue
-        null = gauss(w).kernel
         for u in _projective_combos(f, null.a):
             span = spin(f, mats, u)
-            if span.dim < n:
-                return False, span.matrix()
+            if span.shape[0] < n:
+                return False, span
         nullt = gauss(w.T).kernel
         tmats = [FMatrix(f, np.ascontiguousarray(m.a.T)) for m in mats]
         for u in _projective_combos(f, nullt.a):
             spant = spin(f, tmats, u)
-            if spant.dim < n:
+            if spant.shape[0] < n:
                 # annihilator of the dual-side submodule is invariant
-                ann = gauss(spant.matrix()).kernel
+                ann = gauss(spant).kernel
                 if not 0 < ann.a.shape[0] < n:
                     raise RuntimeError("dual annihilator is not a proper subspace")
                 return False, ann

@@ -281,6 +281,25 @@ def test_prime_one_exits_in_subprocess(src_env):
     assert proc.stderr.decode() == "error: p = 1 is not prime\n"
 
 
+ONLY_NUMPY = """
+import contextlib, io, sys
+from endotriv import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["analyze", "--group", "A4"])
+print(code, sorted(m for m in sys.modules
+                   if m.partition(".")[0] in ("scipy", "sympy")))
+"""
+
+
+def test_analysis_imports_neither_scipy_nor_sympy(src_env):
+    """numpy is the only runtime dependency: a whole analysis leaves no
+    scipy or sympy module loaded, though both may be installed."""
+    proc = subprocess.run([sys.executable, "-c", ONLY_NUMPY],
+                          capture_output=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "0 []\n"
+
+
 @pytest.mark.parametrize("text,argv,msg", [
     ("perm 3\n(1 2)(1 3)\n", ["--prime", "3"],
      "error: cycle line is not a permutation: '(1 2)(1 3)'\n"),

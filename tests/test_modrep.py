@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from endotriv import catalog
 from endotriv.etk import bq_character
-from endotriv.ffla import FMatrix, field_make, gauss
+from endotriv.ffla import FMatrix, field_make, gauss, solve_right
 from endotriv.grp import GroupTable, PermOps
-from endotriv.modrep import (InducedContext, ModuleRep, _maximal_subgroups,
-                             brauer_quotient, character_group, fixed_point_rows,
-                             jordan_profile, one_dim_module, subgroup_table)
+from endotriv.modrep import (BrauerQuotient, InducedContext, ModuleRep,
+                             _maximal_subgroups, brauer_quotient,
+                             character_group, fixed_point_rows, jordan_profile,
+                             one_dim_module, subgroup_table)
 
 
 def perm(degree, *cycles):
@@ -169,8 +170,29 @@ def test_maximal_subgroups_brute(gens):
     half = [frozenset(s) for s in itertools.combinations(range(G.order), G.order // 2)
             if 0 in s and all(G.mul(x, y) in s for x in s for y in s)]
     assert len(half) == 3
-    assert sorted(_maximal_subgroups(G, range(G.order), 2), key=sorted) == \
-        sorted(half, key=sorted)
+    found = _maximal_subgroups(G, range(G.order), 2)
+    assert [mx for mx, _ in found] == sorted(half, key=sorted)
+    for mx, reps in found:
+        # the least index of each right coset M x, ascending
+        cosets = {frozenset(G.mul(m, x) for m in mx) for x in range(G.order)}
+        assert reps == sorted(min(c) for c in cosets)
+
+
+@pytest.mark.parametrize("name,p", [("S4", 2), ("PGL(2,7)", 2), ("3A6", 2),
+                                    ("A6", 3), ("PSL(2,11)", 5)])
+def test_maximal_subgroup_transversals_at_sylow(name, p):
+    """On a Sylow subgroup, whose ambient indices are scattered, each
+    transversal is the least ambient index of every right coset M x.  For
+    p = 2 that is also the least index on the subgroup's own table; for odd
+    p it need not be."""
+    G = catalog.build_group(name)[0]
+    P = G.sylow(p)
+    found = _maximal_subgroups(G, P, p)
+    assert [mx for mx, _ in found] == sorted(
+        (s for s in G.subgroups(P) if len(s) * p == len(P)), key=sorted)
+    for mx, reps in found:
+        cosets = {frozenset(G.mul(m, x) for m in mx) for x in P}
+        assert reps == sorted(min(c) for c in cosets)
 
 
 def test_brauer_quotient_permutation_oracle():
@@ -232,6 +254,50 @@ def test_brauer_action_scalar_trivial():
         N = G.normalizer(P)
         if g in N:
             assert bq.action_scalar(g) == 1
+
+
+def action_scalar_reference(bq, g):
+    """The scalar by which g acts on a 1-dimensional Brauer quotient: the
+    first fixed row whose rank probe against the image grows the rank is
+    the base, and g applied to it is solved in image rows plus the base."""
+    f = bq.rep.field
+    img = bq.image.a
+    base = None
+    for r in range(bq.fixed.a.shape[0]):
+        cand = np.vstack([img, bq.fixed.a[r:r + 1]])
+        if FMatrix(f, cand).rank() == img.shape[0] + 1:
+            base = bq.fixed.a[r]
+            break
+    assert base is not None
+    w = bq.rep.at(g) @ FMatrix(f, base[:, None].copy())
+    sol = solve_right(FMatrix(f, np.vstack([img, base[None, :]])).T, w)
+    assert sol is not None
+    return int(sol.a[-1, 0])
+
+
+@pytest.mark.parametrize("name", ["A5", "3A6"])
+def test_action_scalar_matches_rank_probes(k_report, name):
+    """On every Green correspondent, at P, for every element of N_G(P)."""
+    res = k_report(name)
+    for r in res.records:
+        bq = brauer_quotient(r.rep, res.sylow, 2)
+        assert bq.dim == 1
+        for g in res.ctx.n_indices:
+            assert bq.action_scalar(g) == action_scalar_reference(bq, g)
+
+
+def test_action_scalar_base_skips_rows_inside_the_image():
+    """A fixed row inside the image comes first; the base is the next one."""
+    G = a5()
+    f = field_make(2, 2)
+    rep = ModuleRep(G, f, [FMatrix.identity(f, 2) for _ in G.gens])
+    ident = FMatrix.identity(f, 2)
+    bq = BrauerQuotient(rep, (0,), FMatrix(f, [[1, 1], [0, 1]]),
+                        FMatrix(f, [[1, 1]]), 1)
+    assert bq.action_scalar(1) == action_scalar_reference(bq, 1) == 1
+    inside = BrauerQuotient(rep, (0,), ident, ident, 1)
+    with pytest.raises(RuntimeError, match="no fixed row outside"):
+        inside.action_scalar(0)
 
 
 def test_brauer_action_scalar_needs_dimension_one():

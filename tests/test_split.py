@@ -18,14 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endotriv import split
-from endotriv.ffla import FMatrix, field_make, gauss
+from endotriv.ffla import FMatrix, field_make, gauss, solve_right
 from endotriv.grp import GroupTable, PermOps
 from endotriv.modrep import InducedContext, character_group
 from endotriv.split import (HeckeEnd, algebra_radical, charpoly, chop,
                             composition_factor_dims, elem_symmetric_coeff,
                             factor_poly, is_irreducible, module_iso, padd,
                             pdeg, pdivmod, pgcd, pmod, pmonic, pmul, psub,
-                            pxgcd, split_summands, squarefree_parts)
+                            pxgcd, spin, split_summands, squarefree_parts)
 
 
 def perm(degree, *cycles):
@@ -718,3 +718,139 @@ def test_split_dims_seed_independent(seed):
     ind = ctx.induce(chars[0])
     s = split_summands(ctx, chars[0], ind, random.Random(seed))
     assert [x.dim for x in s] == [1, 4]
+
+
+# -- spinning against the incremental reference -------------------------------
+
+class RowSpanReference:
+    """Row space grown one vector at a time: each new vector is reduced
+    against the pivots found so far and kept, normalised, if nonzero."""
+
+    def __init__(self, f, ncols):
+        self.f = f
+        self.ncols = ncols
+        self.rows = []
+        self.piv = {}
+
+    def add(self, v):
+        f = self.f
+        v = v.astype(np.int64).copy()
+        for c, r in self.piv.items():
+            if v[c]:
+                v = f.sub_vec(v, f.mul_vec(np.int64(int(v[c])),
+                                           self.rows[r])).astype(np.int64)
+        nz = np.nonzero(v)[0]
+        if len(nz) == 0:
+            return False
+        c = int(nz[0])
+        v = f.mul_vec(np.int64(f.inv(int(v[c]))), v).astype(np.int64)
+        self.piv[c] = len(self.rows)
+        self.rows.append(v)
+        return True
+
+    def matrix(self):
+        if not self.rows:
+            return FMatrix(self.f, np.zeros((0, self.ncols), dtype=np.int64))
+        return FMatrix(self.f, np.stack(self.rows))
+
+
+def spin_reference(f, mats, seeds):
+    """Breadth-first spinning: every vector that enlarged the span is
+    multiplied by every generator, one matrix-vector product at a time."""
+    span = RowSpanReference(f, seeds.shape[1])
+    for s in np.atleast_2d(seeds):
+        span.add(s)
+    frontier = span.rows[:]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for m in mats:
+                w = f.matmul(m.a, v.astype(f.dtype)[:, None])[:, 0]
+                if span.add(w):
+                    nxt.append(span.rows[-1])
+        frontier = nxt
+    return span.matrix()
+
+
+def _random_invertible(f, n, rng):
+    while True:
+        m = FMatrix(f, rng.integers(0, f.q, size=(n, n)).astype(f.dtype))
+        if m.rank() == n:
+            return m
+
+
+def _flag_module(f, n, cut, ngens, rng):
+    """Generators that keep the first `cut` coordinates invariant (block upper
+    triangular, invertible diagonal blocks), seen in a random basis."""
+    P = _random_invertible(f, n, rng)
+    mats = []
+    for _ in range(ngens):
+        g = rng.integers(0, f.q, size=(n, n)).astype(f.dtype)
+        g[cut:, :cut] = 0
+        if cut:
+            g[:cut, :cut] = _random_invertible(f, cut, rng).a
+        if cut < n:
+            g[cut:, cut:] = _random_invertible(f, n - cut, rng).a
+        mats.append(P.inverse() @ FMatrix(f, g) @ P)
+    return mats
+
+
+@given(st.sampled_from([(2, 1), (2, 2), (3, 1)]), st.integers(1, 8),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_spin_matches_incremental_reference(pe, n, ngens, seed):
+    f = field_make(*pe)
+    rng = np.random.default_rng(seed)
+    mats = _flag_module(f, n, int(rng.integers(0, n + 1)), ngens, rng)
+    # seed rows: zero rows, sums of two earlier rows and random rows; about
+    # one draw in eight is zero rows only
+    rows = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            rows.append(np.zeros(n, dtype=np.int64))
+        elif kind == 1 and rows:
+            a, b = rng.integers(0, len(rows), size=2)
+            rows.append(f.add_vec(rows[a], rows[b]).astype(np.int64))
+        else:
+            rows.append(rng.integers(0, f.q, size=n))
+    seeds = np.array(rows, dtype=np.int64)
+    got = spin(f, mats, seeds)
+    ref = gauss(spin_reference(f, mats, seeds))
+    assert got.a.tolist() == ref.rref.a[: ref.rank].tolist()
+    for m in mats:
+        images = f.matmul(got.a, m.a.T)
+        assert gauss(FMatrix(f, np.vstack([got.a, images]))).rank == \
+            got.a.shape[0]
+
+
+# -- one stacked solve per summand against one solve per generator ------------
+
+@pytest.mark.parametrize("name", ["A5", "3A6"])
+def test_summand_action_matches_per_generator_solves(k_report, name):
+    res = k_report(name)
+    ctx = res.ctx
+    for lam in res.chars:
+        ind = ctx.induce(lam)
+        for s in split_summands(ctx, lam, ind, random.Random(0)):
+            C = s.basis_cols
+            want = [solve_right(C, g @ C) for g in ind.gen_mats]
+            assert [m.a.tolist() for m in s.rep.gen_mats] == \
+                [m.a.tolist() for m in want]
+
+
+def test_pderiv_scales_by_integer_multiples():
+    # d/dt sum a_k t^k = sum k a_k t^(k-1), with k read mod p
+    for p, e in [(2, 2), (3, 1), (5, 2)]:
+        f = field_make(p, e)
+        rng = random.Random(p * 10 + e)
+        for _ in range(20):
+            a = _poly([rng.randrange(f.q) for _ in range(rng.randrange(0, 9))])
+            want = np.zeros(max(len(a) - 1, 0), dtype=np.int64)
+            for k in range(1, len(a)):
+                acc = 0
+                for _ in range(k):
+                    acc = f.add(acc, int(a[k]))
+                want[k - 1] = acc
+            assert split.pderiv(f, a).tolist() == \
+                split.pstrip(want).tolist()
