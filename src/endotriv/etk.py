@@ -345,7 +345,7 @@ def bq_character(rep: ModuleRep, P: Sequence[int], p: int,
     if bq.dim != 1:
         raise RuntimeError(f"Brauer quotient at P has dim {bq.dim}, expected 1")
     nt = ctx.ntable
-    acts = [bq.action_scalar(g) for g in nt.gens]
+    acts = bq.action_scalars(nt.gens)
     for mu in chars:
         if all(mu.value(nt.gen_idx[k]) == a for k, a in enumerate(acts)):
             return mu
@@ -533,7 +533,7 @@ def tensor_power_class(res: KReport, exps: tuple[int, ...], m: int,
         out["literal_agrees"] = False
         out["verdict"] = "not_one_dimensional_plus_projective"
         return out
-    acts = [bq.action_scalar(gi) for gi in nt.gen_idx]
+    acts = bq.action_scalars(nt.gen_idx)
     lam_m = next(c for c in res.chars if c.exps == predicted)
     want = [lam_m.value(gi) for gi in nt.gen_idx]
     out["literal_agrees"] = acts == want

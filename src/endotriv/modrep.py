@@ -10,6 +10,13 @@ generators directly.  Induction of a linear character lambda from N to G uses
 a right transversal G = union of N t_i, with all coset and double-coset
 combinatorics taken from the orbit labeller of G and cached per (G, N) pair
 in an InducedContext so that every lambda reuses them.
+
+Brauer quotients share one walk down the p-subgroup lattice per module: the
+fixed space of a p-subgroup Q is the part of the fixed space of its first
+maximal subgroup M fixed by one element of Q outside M.  Each module memoizes
+these fixed spaces by subgroup (as a set of table indices) for as long as it
+lives, so the quotients at every subgroup class of P, and the traces from
+their maximal subgroups, solve one small system per subgroup in all.
 """
 from __future__ import annotations
 
@@ -108,6 +115,8 @@ class ModuleRep:
         self.gen_mats = list(gen_mats)
         self.dim = gen_mats[0].a.shape[0] if gen_mats else 1
         self._memo: dict[int, FMatrix] = {0: FMatrix.identity(field, self.dim)}
+        # fixed rows of nontrivial p-subgroups, keyed by table indices (_fixed)
+        self._fixed: dict[frozenset[int], FMatrix] = {}
 
     def at(self, i: int) -> FMatrix:
         """Matrix of element i, multiplying down the enumeration parent chain."""
@@ -252,20 +261,35 @@ class InducedContext:
         return ModuleRep(self.G, f, mats)
 
 
-def fixed_point_rows(rep: ModuleRep, gen_indices: Optional[Sequence[int]] = None
-                     ) -> FMatrix:
-    """Row basis of the common fixed space of the listed elements (default:
-    the table's generators)."""
+def _minus_one(f: FieldTable, a: np.ndarray) -> np.ndarray:
+    """a - 1 for a square code array, in the field dtype: a copy of a with
+    1 subtracted on the diagonal (XOR for p = 2)."""
+    out = a.copy()
+    d = np.arange(len(out))
+    out[d, d] = f.sub_vec(out[d, d], np.ones(len(out), dtype=f.dtype))
+    return out
+
+
+def fixed_point_rows(rep: ModuleRep, gen_indices: Optional[Sequence[int]] = None,
+                     within: Optional[FMatrix] = None) -> FMatrix:
+    """Row basis of the vectors of the row space ``within`` (default: the
+    whole space) fixed by the listed elements (default: the table's
+    generators).
+
+    The blocks (rep(g) - 1) within^T are stacked, the kernel of the stack
+    gives coordinates c, and c within is returned; without ``within`` the
+    blocks are rep(g) - 1 and the kernel itself is returned.
+    """
     idxs = list(gen_indices) if gen_indices is not None else list(rep.table.gen_idx)
     f = rep.field
     if not idxs:
-        return FMatrix.identity(f, rep.dim)
-    blocks = []
-    for i in idxs:
-        m = rep.at(i)
-        blocks.append(f.sub_vec(m.a.astype(np.int64), np.eye(rep.dim, dtype=np.int64)))
-    stacked = FMatrix(f, np.vstack(blocks))
-    return gauss(stacked).kernel
+        return FMatrix.identity(f, rep.dim) if within is None else within
+    blocks = [_minus_one(f, rep.at(i).a) for i in idxs]
+    if within is None:
+        return gauss(FMatrix(f, np.vstack(blocks))).kernel
+    wt = within.a.T
+    coords = gauss(FMatrix(f, np.vstack([f.matmul(b, wt) for b in blocks]))).kernel
+    return FMatrix(f, f.matmul(coords.a, within.a))
 
 
 @dataclass
@@ -277,9 +301,10 @@ class BrauerQuotient:
     image: FMatrix
     dim: int
 
-    def action_scalar(self, g: int) -> int:
-        """Scalar action of element g (must normalize the subgroup) on a
-        1-dimensional quotient."""
+    def action_scalars(self, gs: Sequence[int]) -> list[int]:
+        """Scalar action of each element of gs (each must normalize the
+        subgroup) on a 1-dimensional quotient, from one solve against all
+        their images of one base row."""
         if self.dim != 1:
             raise ValueError(f"action scalar needs a 1-dimensional Brauer quotient, "
                              f"not dimension {self.dim}")
@@ -294,19 +319,21 @@ class BrauerQuotient:
             raise RuntimeError("Brauer quotient of dimension 1 has no fixed row "
                                "outside the trace image")
         base = self.fixed.a[outside[0] - k]
-        w = self.rep.at(g) @ FMatrix(f, base[:, None].copy())
+        w = np.zeros((self.rep.dim, len(gs)), dtype=f.dtype)
+        for j, g in enumerate(gs):
+            w[:, j] = f.matmul(self.rep.at(g).a, base[:, None])[:, 0]
         basis = FMatrix(f, np.vstack([img, base[None, :]])).T
-        sol = solve_right(basis, w)
+        sol = solve_right(basis, FMatrix(f, w))
         if sol is None:
-            raise RuntimeError(f"element {g} does not act on the Brauer quotient; "
-                               "it must normalize the subgroup")
-        return int(sol.a[-1, 0])
+            raise RuntimeError(f"the elements {list(gs)} do not all act on the "
+                               "Brauer quotient; they must normalize the subgroup")
+        return sol.a[-1].tolist()
 
 
 _MAXIMAL: "weakref.WeakKeyDictionary[GroupTable, dict]" = weakref.WeakKeyDictionary()
 
 
-def _maximal_subgroups(table: GroupTable, indices: Sequence[int], p: int
+def _maximal_subgroups(table: GroupTable, indices: Iterable[int], p: int
                        ) -> list[tuple[frozenset[int], list[int]]]:
     """Maximal subgroups (index p) of a p-subgroup given by ambient indices,
     each with a right transversal in the subgroup, found on the subgroup's
@@ -314,10 +341,21 @@ def _maximal_subgroups(table: GroupTable, indices: Sequence[int], p: int
 
     The right cosets M x are the orbits of left multiplication by M; each is
     represented by its least ambient index, and the transversal ascends.
+    Raises ValueError when the indices are not closed under the table's
+    product or their number is not a power of p.
     """
-    key = (tuple(sorted(indices)), p)
+    key = (tuple(sorted(set(indices))), p)
     memo = _MAXIMAL.setdefault(table, {})
     if key not in memo:
+        n = len(key[0])
+        if table.closure(key[0]) != frozenset(key[0]):
+            raise ValueError(f"the {n} indices are not closed under the "
+                             f"group product")
+        while n % p == 0:
+            n //= p
+        if n != 1:
+            raise ValueError(f"a subgroup of order {len(key[0])} is not a "
+                             f"{p}-subgroup")
         sub = subgroup_table(table, key[0])
         amb = sub.elements
         out = []
@@ -333,43 +371,65 @@ def _maximal_subgroups(table: GroupTable, indices: Sequence[int], p: int
     return memo[key]
 
 
-def brauer_quotient(rep: ModuleRep, sub_indices: Sequence[int], p: int
+def _fixed(rep: ModuleRep, sub: frozenset[int], p: int) -> Optional[FMatrix]:
+    """Fixed rows of a p-subgroup, by the walk down its first maximal
+    subgroups, memoized on the module; None for the trivial subgroup, which
+    fixes the whole space and is not stored."""
+    if len(sub) == 1:
+        return None
+    if sub not in rep._fixed:
+        mx, trans = _maximal_subgroups(rep.table, sub, p)[0]
+        # [sub : mx] = p is prime, so one element outside mx generates sub over it
+        g = next(x for x in trans if x not in mx)
+        rep._fixed[sub] = fixed_point_rows(rep, [g], _fixed(rep, mx, p))
+    return rep._fixed[sub]
+
+
+def brauer_quotient(rep: ModuleRep, sub_indices: Iterable[int], p: int
                     ) -> BrauerQuotient:
     """Brauer construction at a p-subgroup of rep.table: fixed points modulo
-    the sum of relative traces from maximal subgroups."""
+    the sum of relative traces from maximal subgroups.
+
+    Fixed spaces come from one walk down the subgroup lattice memoized on
+    the module for as long as it lives: the fixed space of Q is that of its
+    first maximal subgroup M cut by one element outside M, so a subgroup
+    met again, in any index order, costs nothing, and a new one costs an
+    elimination of dim fixed(M) columns.  Raises ValueError unless the
+    indices form a p-subgroup.
+    """
     table = rep.table
     f = rep.field
-    sub = sorted(sub_indices)
-    fixed = fixed_point_rows(rep, table.small_gens(sub))
-    if len(sub) == 1:
-        return BrauerQuotient(rep, tuple(sub), fixed,
-                              FMatrix(f, np.zeros((0, rep.dim), dtype=f.dtype)),
-                              fixed.a.shape[0])
+    sub = frozenset(sub_indices)
+    maximal = _maximal_subgroups(table, sub, p)
+    fixed = _fixed(rep, sub, p)
+    if fixed is None:
+        fixed = FMatrix.identity(f, rep.dim)
     image_rows = []
-    for mx, reps in _maximal_subgroups(table, sub, p):
-        fr = fixed_point_rows(rep, table.small_gens(mx))
-        if fr.a.shape[0] == 0:
+    for mx, reps in maximal:
+        fr = _fixed(rep, mx, p)
+        if fr is not None and fr.a.shape[0] == 0:
             continue
         acc = np.zeros((rep.dim, rep.dim), dtype=f.dtype)
         for q in reps:
             acc = f.add_vec(acc, rep.at(q).a)
-        # rows fr.a are fixed vectors v of mx; traces are (sum_q rep(q)) v
-        tr = f.matmul(fr.a, np.ascontiguousarray(acc.T))
-        image_rows.append(tr)
+        # rows of fr are fixed vectors v of mx; traces are (sum_q rep(q)) v,
+        # so when mx = 1 fixes every vector they are the rows of acc^T
+        acc_t = np.ascontiguousarray(acc.T)
+        image_rows.append(acc_t if fr is None else f.matmul(fr.a, acc_t))
     if image_rows:
         reduced = gauss(FMatrix(f, np.vstack(image_rows)))
         image = FMatrix(f, np.ascontiguousarray(reduced.rref.a[: reduced.rank]))
     else:
         image = FMatrix(f, np.zeros((0, rep.dim), dtype=f.dtype))
     dim = fixed.a.shape[0] - image.a.shape[0]
-    return BrauerQuotient(rep, tuple(sub), fixed, image, dim)
+    return BrauerQuotient(rep, tuple(sorted(sub)), fixed, image, dim)
 
 
 def jordan_profile(rep: ModuleRep, i: int) -> dict[int, int]:
     """Jordan block sizes of element i (order a power of char): {size: count}."""
     f = rep.field
     m = rep.at(i)
-    a = FMatrix(f, f.sub_vec(m.a.astype(np.int64), np.eye(rep.dim, dtype=np.int64)))
+    a = FMatrix(f, _minus_one(f, m.a))
     ranks = [rep.dim]
     power = a
     while ranks[-1] > 0:

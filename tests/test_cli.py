@@ -522,6 +522,39 @@ def test_analyze_argument_fuzz(prime, degree, seed, power, budget, fmt):
         assert err.getvalue().count("\n") == 1
 
 
+def _a4_analyze(prime, seed, power):
+    argv = ["analyze", "--group", "A4", "--prime", str(prime),
+            "--seed", str(seed)]
+    if power is not None:
+        argv += ["--tensor-power", str(power)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    report = json.loads(out.getvalue())
+    report.pop("seed")
+    return report
+
+
+@pytest.fixture(scope="module")
+def a4_seed0_reports():
+    """Seed-0 A4 reports by (prime, tensor power), filled on first use."""
+    return {}
+
+
+@given(prime=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 64),
+       power=st.one_of(st.none(), st.integers(-2, 6)))
+@settings(max_examples=30, deadline=None)
+def test_a4_brauer_quotients_fuzz(a4_seed0_reports, prime, seed, power):
+    """Every Brauer quotient of an A4 run, tensor powers included, is taken
+    at a p-subgroup: the run exits 0 and, apart from its seed, reports what
+    seed 0 reports."""
+    key = (prime, power)
+    if key not in a4_seed0_reports:
+        a4_seed0_reports[key] = _a4_analyze(prime, 0, power)
+    assert _a4_analyze(prime, seed, power) == a4_seed0_reports[key]
+
+
 NUMPY_MA = """
 import contextlib, io, sys
 from endotriv import cli

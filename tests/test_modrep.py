@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endotriv import catalog
+from endotriv import catalog, modrep
 from endotriv.etk import bq_character
 from endotriv.ffla import FMatrix, field_make, gauss, solve_right
 from endotriv.grp import GroupTable, PermOps
@@ -243,6 +243,194 @@ def test_brauer_quotient_random_corpus():
         checked += 1
 
 
+def reference_brauer_quotient(rep, sub_indices, p):
+    """The per-subgroup Brauer construction the walk replaced: the fixed
+    space of Q and of each maximal subgroup solved afresh from the stacked
+    blocks rep(g) - 1 over a small generating set.  Returns (dim, fixed,
+    image)."""
+    table, f = rep.table, rep.field
+    sub = sorted(sub_indices)
+    fixed = fixed_point_rows(rep, table.small_gens(sub))
+    image = FMatrix(f, np.zeros((0, rep.dim), dtype=f.dtype))
+    if len(sub) > 1:
+        rows = []
+        for mx, reps in _maximal_subgroups(table, sub, p):
+            fr = fixed_point_rows(rep, table.small_gens(mx))
+            acc = np.zeros((rep.dim, rep.dim), dtype=f.dtype)
+            for q in reps:
+                acc = f.add_vec(acc, rep.at(q).a)
+            rows.append(f.matmul(fr.a, np.ascontiguousarray(acc.T)))
+        reduced = gauss(FMatrix(f, np.vstack(rows)))
+        image = FMatrix(f, reduced.rref.a[: reduced.rank])
+    return fixed.a.shape[0] - image.a.shape[0], fixed, image
+
+
+def _row_space(m):
+    g = gauss(m)
+    return g.rref.a[: g.rank].tolist()
+
+
+def check_walk_against_reference(rep, p, rng):
+    """Brauer quotients at every subgroup of rep.table, each passed in a
+    shuffled index order and the subgroups in a shuffled order, against the
+    reference; the walk solves one fixed space per nontrivial subgroup, and
+    asking again, in other orders, solves none."""
+    subs = rep.table.subgroups(range(rep.table.order))
+    calls = []
+    real = modrep.fixed_point_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    modrep.fixed_point_rows = counted
+    try:
+        got = {}
+        for _ in range(2):
+            for S in rng.sample(subs, len(subs)):
+                got[S] = brauer_quotient(rep, rng.sample(sorted(S), len(S)), p)
+            assert len(calls) == len(subs) - 1
+    finally:
+        modrep.fixed_point_rows = real
+    for S in subs:
+        dim, fixed, image = reference_brauer_quotient(rep, S, p)
+        bq = got[S]
+        assert bq.subgroup == tuple(sorted(S))
+        assert bq.dim == dim
+        assert _row_space(bq.fixed) == _row_space(fixed)
+        assert _row_space(bq.image) == _row_space(image)
+
+
+def _random_invertible(f, n, rng):
+    while True:
+        s = FMatrix(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)])
+        if s.rank() == n:
+            return s
+
+
+# the p-groups of the oracle, with their fields
+WALK_GROUPS = {
+    "d8": ([perm(4, (0, 1, 2, 3)), perm(4, (1, 3))], 2, (1, 2)),
+    "klein": ([perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))], 2, (1, 2)),
+    "c3xc3": ([perm(6, (0, 1, 2)), perm(6, (3, 4, 5))], 3, (1,)),
+    "c9": ([perm(9, tuple(range(9)))], 3, (1,)),
+}
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(WALK_GROUPS)))
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_per_subgroup_reference(data, name):
+    """A sum of permutation modules k[R\\P] over random subgroups R, in a
+    random basis."""
+    gens, p, degrees = WALK_GROUPS[name]
+    P = GroupTable(PermOps(len(gens[0])), gens)
+    f = field_make(p, data.draw(st.sampled_from(degrees)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    subs = P.subgroups(range(P.order))
+    blocks = []
+    for R in data.draw(st.lists(st.sampled_from(subs), min_size=1, max_size=3)):
+        ctx = InducedContext(P, sorted(R))
+        triv = character_group(ctx.ntable, ctx.ntable.abelianization_pprime(p),
+                               f)[0]
+        blocks.append(ctx.induce(triv).gen_mats)
+    n = sum(b[0].shape[0] for b in blocks)
+    mats = []
+    for k in range(len(gens)):
+        m = np.zeros((n, n), dtype=f.dtype)
+        at = 0
+        for b in blocks:
+            d = b[k].shape[0]
+            m[at:at + d, at:at + d] = b[k].a
+            at += d
+        mats.append(FMatrix(f, m))
+    s = _random_invertible(f, n, rng)
+    sinv = s.inverse()
+    rep = ModuleRep(P, f, [s @ m @ sinv for m in mats])
+    check_walk_against_reference(rep, p, rng)
+
+
+@pytest.mark.parametrize("name", ["A5", "3A6"])
+def test_walk_matches_reference_on_restricted_end_modules(k_report, name):
+    """End(U) restricted to P for the correspondents and the rejected
+    summands up to dimension 9."""
+    res = k_report(name)
+    pt = subgroup_table(res.table, res.sylow)
+    rng = random.Random(11)
+    mods = [m for r in res.records for m in [r.rep, *r.reject_reps]
+            if m.dim <= 9]
+    assert mods
+    for u in mods:
+        rest = u.restrict(pt)
+        check_walk_against_reference(rest.dual().tensor(rest), 2, rng)
+
+
+def test_brauer_quotient_rejects_a_set_not_closed_under_the_product():
+    G = a5()
+    rep = perm_module(G, field_make(2, 1))
+    u = next(x for x in range(G.order) if G.order_of(x) == 2)
+    v = next(x for x in range(G.order) if G.order_of(x) == 2
+             and G.mul(u, x) not in (0, u, x))
+    for bad in ([0, u, v], [u], [0, u, G.mul(u, v)]):
+        with pytest.raises(ValueError, match="not closed under"):
+            brauer_quotient(rep, bad, 2)
+
+
+def test_brauer_quotient_rejects_a_subgroup_of_order_prime_to_p():
+    G = a5()
+    rep = perm_module(G, field_make(2, 1))
+    c3 = sorted(G.closure([next(x for x in range(G.order)
+                                if G.order_of(x) == 3)]))
+    with pytest.raises(ValueError, match="order 3 is not a 2-subgroup"):
+        brauer_quotient(rep, c3, 2)
+    s3 = sorted(G.normalizer(c3))
+    with pytest.raises(ValueError, match="order 6 is not a 2-subgroup"):
+        brauer_quotient(rep, s3, 2)
+    rep3 = perm_module(G, field_make(3, 1))
+    assert brauer_quotient(rep3, c3, 3).dim == _fixed_points(G, c3)
+
+
+@given(st.sets(st.integers(0, 11), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_brauer_quotient_on_random_subsets_of_a4(subset):
+    """A subset of A4 is a 2-subgroup, with the reference's quotient, or a
+    ValueError."""
+    G = GroupTable(PermOps(4), [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])
+    rep = perm_module(G, field_make(2, 2))
+    closed = G.closure(subset) == frozenset(subset)
+    if closed and len(subset) in (1, 2, 4):
+        assert brauer_quotient(rep, subset, 2).dim == \
+            reference_brauer_quotient(rep, subset, 2)[0] == \
+            _fixed_points(G, subset)
+    else:
+        with pytest.raises(ValueError):
+            brauer_quotient(rep, subset, 2)
+
+
+def test_jordan_profile_matches_int64_reference():
+    """rep(g) - 1 formed in the field dtype gives the profile the int64
+    subtraction gave, in characteristic 2 and 3."""
+    rng = random.Random(5)
+    for name, (gens, p, degrees) in sorted(WALK_GROUPS.items()):
+        P = GroupTable(PermOps(len(gens[0])), gens)
+        for e in degrees:
+            f = field_make(p, e)
+            rep = perm_module(P, f)
+            s = _random_invertible(f, rep.dim, rng)
+            rep = ModuleRep(P, f, [s @ m @ s.inverse() for m in rep.gen_mats])
+            for u in range(P.order):
+                a = FMatrix(f, f.sub_vec(rep.at(u).a.astype(np.int64),
+                                         np.eye(rep.dim, dtype=np.int64)))
+                ranks, power = [rep.dim], a
+                while ranks[-1]:
+                    ranks.append(power.rank())
+                    power = power @ a
+                ranks.append(0)
+                want = {j: ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]
+                        for j in range(1, len(ranks) - 1)}
+                assert jordan_profile(rep, u) == \
+                    {j: c for j, c in want.items() if c}, (name, e, u)
+
+
 def test_brauer_action_scalar_trivial():
     G = a5()
     f = field_make(2, 2)
@@ -253,7 +441,7 @@ def test_brauer_action_scalar_trivial():
     for g in range(0, G.order, 11):
         N = G.normalizer(P)
         if g in N:
-            assert bq.action_scalar(g) == 1
+            assert bq.action_scalars([g]) == [1]
 
 
 def action_scalar_reference(bq, g):
@@ -282,8 +470,9 @@ def test_action_scalar_matches_rank_probes(k_report, name):
     for r in res.records:
         bq = brauer_quotient(r.rep, res.sylow, 2)
         assert bq.dim == 1
-        for g in res.ctx.n_indices:
-            assert bq.action_scalar(g) == action_scalar_reference(bq, g)
+        gs = res.ctx.n_indices
+        assert bq.action_scalars(gs) == [action_scalar_reference(bq, g)
+                                         for g in gs]
 
 
 def test_action_scalar_base_skips_rows_inside_the_image():
@@ -294,10 +483,10 @@ def test_action_scalar_base_skips_rows_inside_the_image():
     ident = FMatrix.identity(f, 2)
     bq = BrauerQuotient(rep, (0,), FMatrix(f, [[1, 1], [0, 1]]),
                         FMatrix(f, [[1, 1]]), 1)
-    assert bq.action_scalar(1) == action_scalar_reference(bq, 1) == 1
+    assert bq.action_scalars([1]) == [action_scalar_reference(bq, 1)] == [1]
     inside = BrauerQuotient(rep, (0,), ident, ident, 1)
     with pytest.raises(RuntimeError, match="no fixed row outside"):
-        inside.action_scalar(0)
+        inside.action_scalars([0])
 
 
 def test_brauer_action_scalar_needs_dimension_one():
@@ -310,7 +499,7 @@ def test_brauer_action_scalar_needs_dimension_one():
     bq = brauer_quotient(two, P, 2)
     assert bq.dim == 2
     with pytest.raises(ValueError, match="1-dimensional"):
-        bq.action_scalar(0)
+        bq.action_scalars([0])
     with pytest.raises(RuntimeError, match="dim 2, expected 1"):
         bq_character(two, P, 2, None, [])
 
