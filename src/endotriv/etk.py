@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ffla import FieldTable, kron
+from .ffla import FieldTable
 from .grp import GroupTable
 from .modrep import (InducedContext, LinearCharacter, ModuleRep,
                      brauer_quotient, character_group, subgroup_table)
@@ -487,19 +487,6 @@ def compute_K(table: GroupTable, p: int, f: FieldTable, seed: int = 0
         table=table, ctx=ctx, chars=chars, sylow=P)
 
 
-def _kron_power(mats: list, m: int) -> list:
-    """m-th Kronecker powers of the matrices by repeated squaring; kron is
-    associative and every factor is the same, so the bracketing is free."""
-    out = None
-    while True:
-        if m & 1:
-            out = mats if out is None else [kron(a, b) for a, b in zip(out, mats)]
-        m >>= 1
-        if not m:
-            return out
-        mats = [kron(a, a) for a in mats]
-
-
 def tensor_power_class(res: KReport, exps: tuple[int, ...], m: int,
                        budget: int = TENSOR_LITERAL_CAP) -> dict:
     """Identify the class of the m-th tensor power of a correspondent.
@@ -526,7 +513,7 @@ def tensor_power_class(res: KReport, exps: tuple[int, ...], m: int,
         return out
     nt = res.ctx.ntable
     rest = rec.rep.restrict(nt)
-    power_rep = ModuleRep(nt, rest.field, _kron_power(rest.gen_mats, m))
+    power_rep = rest.tensor_power(m)
     bq = brauer_quotient(power_rep, res.ctx.g2n[res.sylow].tolist(), res.p)
     out["literal_checked"] = True
     if bq.dim != 1:

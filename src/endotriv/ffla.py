@@ -366,17 +366,22 @@ class FieldTable:
         k = 65535, nine for GF(64) at k = 729.  The slots are read back as
         integers by shift and mask, and the coefficients of x^m for m >= e
         are folded in by the reduction table.  The diagonal of a product
-        takes one einsum per pair of blocks instead.
+        takes one einsum per pair of blocks instead.  The packed operands
+        are released once the last BLAS product is taken, before its slots
+        are decoded.
         """
         e = self.e
         # coef[m]: the coefficient of x^m in the unreduced product
         coef = [None] * (2 * e - 1)
+        last = (len(pa) - 1, len(pb) - 1)
         for i in range(len(pa)):
             for j in range(len(pb)):
                 if trace:
                     prod = np.einsum("...jk,...kj->...j", pa[i], pb[j])
                 else:
                     prod = pa[i] @ pb[j]
+                if (i, j) == last:
+                    del pa, pb
                 prod = prod.astype(np.int64)
                 top = min(t, e - i * t) + min(t, e - j * t) - 2
                 # top slot first: slot 0 is then masked in place in prod

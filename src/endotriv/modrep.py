@@ -4,19 +4,25 @@ quotients.
 
 A module is stored as one matrix per group generator (column-vector action,
 so R(g) R(h) = R(gh)); matrices for arbitrary elements are evaluated through
-the enumeration's parent chain and memoized.  Subgroups are group tables
-enumerated on ambient indices (subgroup_table), so restriction reads their
-generators directly.  Induction of a linear character lambda from N to G uses
-a right transversal G = union of N t_i, with all coset and double-coset
-combinatorics taken from the orbit labeller of G and cached per (G, N) pair
-in an InducedContext so that every lambda reuses them.
+the enumeration's parent chain and memoized read-only.  A tensor product
+keeps its two factor modules, so an End module dual(U) tensor U or a tensor
+power (repeated squaring of factor modules) forms the matrix of an element
+as the kron of its factors' matrices, with no product.  Subgroups are group
+tables enumerated on ambient indices (subgroup_table), so restriction reads
+their generators directly.  Induction of a linear character lambda from N to
+G uses a right transversal G = union of N t_i, with all coset and
+double-coset combinatorics taken from the orbit labeller of G and cached per
+(G, N) pair in an InducedContext so that every lambda reuses them.
 
 Brauer quotients share one walk down the p-subgroup lattice per module: the
 fixed space of a p-subgroup Q is the part of the fixed space of its first
 maximal subgroup M fixed by one element of Q outside M.  Each module memoizes
 these fixed spaces by subgroup (as a set of table indices) for as long as it
 lives, so the quotients at every subgroup class of P, and the traces from
-their maximal subgroups, solve one small system per subgroup in all.
+their maximal subgroups, solve one small system per subgroup in all.  For
+p = 2 the walk's block (R(g) - 1) fixed(M)^T is, transposed, the trace image
+of fixed(M) in Q, since the transversal of M is {1, g} and 1 + R(g) =
+R(g) - 1; it is kept and reused.
 """
 from __future__ import annotations
 
@@ -102,32 +108,60 @@ def character_group(ntable: GroupTable, ab: AbelianPPrime,
 
 
 class ModuleRep:
-    """Matrix representation attached to a group table (one matrix per
-    generator, memoized evaluation elsewhere)."""
+    """Matrix representation attached to a group table: one matrix per
+    generator, and the matrix of any element memoized by ``at``.
+
+    A tensor product keeps its two factor modules in ``factors``; the
+    matrix of an element is then the kron of the factors' matrices of it,
+    one gather and no product.  A module without factors multiplies down
+    the enumeration's parent chain.  Generator matrices and every ``at``
+    result are read-only: the memo hands them out, and ``restrict`` passes
+    them on as generator matrices.
+    """
 
     def __init__(self, table: GroupTable, field: FieldTable,
-                 gen_mats: Sequence[FMatrix]):
+                 gen_mats: Sequence[FMatrix],
+                 factors: tuple["ModuleRep", ...] = ()):
         if len(gen_mats) != len(table.gens):
             raise ValueError(f"{len(gen_mats)} matrices for {len(table.gens)} "
                              f"generators")
         self.table = table
         self.field = field
         self.gen_mats = list(gen_mats)
+        self.factors = factors
         self.dim = gen_mats[0].a.shape[0] if gen_mats else 1
-        self._memo: dict[int, FMatrix] = {0: FMatrix.identity(field, self.dim)}
+        ident = FMatrix.identity(field, self.dim)
+        for m in [ident, *self.gen_mats]:
+            m.a.flags.writeable = False
+        self._memo: dict[int, FMatrix] = {0: ident}
         # fixed rows of nontrivial p-subgroups, keyed by table indices (_fixed)
         self._fixed: dict[frozenset[int], FMatrix] = {}
+        # p = 2: trace image of fixed(M) for M the walk's maximal subgroup (_fixed)
+        self._walk_trace: dict[frozenset[int], np.ndarray] = {}
 
     def at(self, i: int) -> FMatrix:
-        """Matrix of element i, multiplying down the enumeration parent chain."""
+        """Matrix of element i, memoized and read-only.  A generator's is its
+        own matrix; any other is the kron of the factors' matrices, or for a
+        module without factors the product down the parent chain."""
         memo = self._memo
+        parent, genidx = self.table._parent, self.table._genidx
+        # the elements to fill: i and, without factors, its parent chain
+        # down to a memoized element
         stack = []
         j = i
         while j not in memo:
             stack.append(j)
-            j = self.table._parent[j]
+            j = 0 if self.factors else parent[j]
         for j in reversed(stack):
-            memo[j] = memo[self.table._parent[j]] @ self.gen_mats[self.table._genidx[j]]
+            if parent[j] == 0:
+                m = self.gen_mats[genidx[j]]
+            elif self.factors:
+                a, b = self.factors
+                m = kron(a.at(j), b.at(j))
+            else:
+                m = memo[parent[j]] @ self.gen_mats[genidx[j]]
+            m.a.flags.writeable = False
+            memo[j] = m
         return memo[i]
 
     def restrict(self, sub: GroupTable) -> "ModuleRep":
@@ -138,10 +172,26 @@ class ModuleRep:
         return ModuleRep(sub, self.field, [self.at(g) for g in sub.gens])
 
     def tensor(self, other: "ModuleRep") -> "ModuleRep":
+        """self tensor other, keeping both as its factors."""
         if self.table is not other.table:
             raise ValueError("tensor of modules over different group tables")
         mats = [kron(a, b) for a, b in zip(self.gen_mats, other.gen_mats)]
-        return ModuleRep(self.table, self.field, mats)
+        return ModuleRep(self.table, self.field, mats, (self, other))
+
+    def tensor_power(self, m: int) -> "ModuleRep":
+        """m-th tensor power (m >= 1) of m copies of self, by repeated
+        squaring: kron is associative, so the bracketing is free, and m
+        costs about 2 log2(m) tensor steps."""
+        if m < 1:
+            raise ValueError(f"tensor power {m} < 1")
+        out, sq = None, self
+        while True:
+            if m & 1:
+                out = sq if out is None else out.tensor(sq)
+            m >>= 1
+            if not m:
+                return out
+            sq = sq.tensor(sq)
 
     def dual(self) -> "ModuleRep":
         mats = [m.inverse().T for m in self.gen_mats]
@@ -271,25 +321,30 @@ def _minus_one(f: FieldTable, a: np.ndarray) -> np.ndarray:
 
 
 def fixed_point_rows(rep: ModuleRep, gen_indices: Optional[Sequence[int]] = None,
-                     within: Optional[FMatrix] = None) -> FMatrix:
+                     within: Optional[FMatrix] = None,
+                     stacks: Optional[list] = None) -> FMatrix:
     """Row basis of the vectors of the row space ``within`` (default: the
     whole space) fixed by the listed elements (default: the table's
     generators).
 
     The blocks (rep(g) - 1) within^T are stacked, the kernel of the stack
     gives coordinates c, and c within is returned; without ``within`` the
-    blocks are rep(g) - 1 and the kernel itself is returned.
+    blocks are rep(g) - 1 and the kernel itself is returned.  When
+    ``stacks`` is a list, the stacked blocks are appended to it.
     """
     idxs = list(gen_indices) if gen_indices is not None else list(rep.table.gen_idx)
     f = rep.field
     if not idxs:
         return FMatrix.identity(f, rep.dim) if within is None else within
     blocks = [_minus_one(f, rep.at(i).a) for i in idxs]
-    if within is None:
-        return gauss(FMatrix(f, np.vstack(blocks))).kernel
-    wt = within.a.T
-    coords = gauss(FMatrix(f, np.vstack([f.matmul(b, wt) for b in blocks]))).kernel
-    return FMatrix(f, f.matmul(coords.a, within.a))
+    if within is not None:
+        wt = within.a.T
+        blocks = [f.matmul(b, wt) for b in blocks]
+    stack = FMatrix(f, np.vstack(blocks))
+    if stacks is not None:
+        stacks.append(stack.a)
+    coords = gauss(stack).kernel
+    return coords if within is None else FMatrix(f, f.matmul(coords.a, within.a))
 
 
 @dataclass
@@ -381,7 +436,13 @@ def _fixed(rep: ModuleRep, sub: frozenset[int], p: int) -> Optional[FMatrix]:
         mx, trans = _maximal_subgroups(rep.table, sub, p)[0]
         # [sub : mx] = p is prime, so one element outside mx generates sub over it
         g = next(x for x in trans if x not in mx)
-        rep._fixed[sub] = fixed_point_rows(rep, [g], _fixed(rep, mx, p))
+        stacks: list = []
+        rep._fixed[sub] = fixed_point_rows(rep, [g], _fixed(rep, mx, p), stacks)
+        if p == 2 and rep.field.p == 2:
+            # trans = {1, g} and 1 + rep(g) = rep(g) - 1 in characteristic 2,
+            # so the block (rep(g) - 1) fixed(mx)^T is the trace image of
+            # fixed(mx) in sub, transposed
+            rep._walk_trace[sub] = stacks[0].T
     return rep._fixed[sub]
 
 
@@ -394,8 +455,10 @@ def brauer_quotient(rep: ModuleRep, sub_indices: Iterable[int], p: int
     the module for as long as it lives: the fixed space of Q is that of its
     first maximal subgroup M cut by one element outside M, so a subgroup
     met again, in any index order, costs nothing, and a new one costs an
-    elimination of dim fixed(M) columns.  Raises ValueError unless the
-    indices form a p-subgroup.
+    elimination of dim fixed(M) columns.  The trace image of fixed(M) for
+    that first M is, for p = 2, the transposed block of the walk (``_fixed``);
+    every other maximal subgroup, and every one for odd p, sums rep(q) over
+    its transversal.  Raises ValueError unless the indices form a p-subgroup.
     """
     table = rep.table
     f = rep.field
@@ -405,9 +468,12 @@ def brauer_quotient(rep: ModuleRep, sub_indices: Iterable[int], p: int
     if fixed is None:
         fixed = FMatrix.identity(f, rep.dim)
     image_rows = []
-    for mx, reps in maximal:
+    for k, (mx, reps) in enumerate(maximal):
         fr = _fixed(rep, mx, p)
         if fr is not None and fr.a.shape[0] == 0:
+            continue
+        if k == 0 and sub in rep._walk_trace:
+            image_rows.append(rep._walk_trace[sub])
             continue
         acc = np.zeros((rep.dim, rep.dim), dtype=f.dtype)
         for q in reps:

@@ -9,12 +9,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from endotriv import catalog, cli, etk, ffla
+from endotriv import catalog, cli, ffla
 from endotriv.grp import (MAX_PERM_DEGREE, GroupTable, PermOps,
                           parse_group_file, serialize_group_file)
+from endotriv.modrep import ModuleRep
 
 
 def run_main(capsys, *argv):
@@ -471,14 +473,21 @@ def test_huge_tensor_power_exits_in_subprocess(src_env, group):
 
 
 def test_tensor_power_by_squaring_matches_repeated_kron():
+    """The factored m-th power module against m - 1 literal Kronecker
+    steps: its generator matrices, and the matrix of every element against
+    the chain product of those literal generator matrices."""
     res = cli.compute_K(catalog.build_group("A5")[0], 2, cli.field_make(2, 2))
     for rec in res.records:
-        mats = list(rec.rep.gen_mats)
+        rep = rec.rep
+        mats = list(rep.gen_mats)
         cur = list(mats)
         for m in range(2, 5):
             cur = [ffla.kron(a, b) for a, b in zip(cur, mats)]
-            got = etk._kron_power(mats, m)
-            assert [g.a.tolist() for g in got] == [c.a.tolist() for c in cur]
+            got = rep.tensor_power(m)
+            assert [g.a.tolist() for g in got.gen_mats] == [c.a.tolist() for c in cur]
+            literal = ModuleRep(rep.table, rep.field, cur)
+            for i in range(rep.table.order):
+                assert np.array_equal(got.at(i).a, literal.at(i).a)
 
 
 @pytest.mark.parametrize("degree", [MAX_PERM_DEGREE + 1, 10 ** 18])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from endotriv import catalog, modrep
 from endotriv.etk import bq_character
-from endotriv.ffla import FMatrix, field_make, gauss, solve_right
+from endotriv.ffla import FMatrix, field_make, gauss, kron, solve_right
 from endotriv.grp import GroupTable, PermOps
 from endotriv.modrep import (BrauerQuotient, InducedContext, ModuleRep,
                              _maximal_subgroups, brauer_quotient,
@@ -128,6 +128,80 @@ def test_restrict_tensor_dual():
     du = rep.dual()
     for k in range(len(G.gens)):
         assert (du.gen_mats[k].T @ rep.gen_mats[k]).is_identity()
+
+
+# -- tensor factors -------------------------------------------------------------
+
+FACTOR_GROUPS = {
+    "s3": [perm(3, (0, 1)), perm(3, (0, 1, 2))],
+    "a4": [perm(4, (0, 1, 2)), perm(4, (0, 1), (2, 3))],
+    "d8": [perm(4, (0, 1, 2, 3)), perm(4, (1, 3))],
+}
+
+
+def _literal_tensor(mods):
+    """The tensor product of the modules as Kronecker products of their
+    generator matrices, with no factors kept: ``at`` multiplies down the
+    parent chain."""
+    mats = mods[0].gen_mats
+    for m in mods[1:]:
+        mats = [kron(a, b) for a, b in zip(mats, m.gen_mats)]
+    return ModuleRep(mods[0].table, mods[0].field, mats)
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(FACTOR_GROUPS)),
+       fq=st.sampled_from([(2, 1), (2, 2), (3, 1)]), count=st.integers(2, 3),
+       kind=st.sampled_from(["tensor", "dual", "power"]))
+@settings(max_examples=40, deadline=None)
+def test_factored_at_matches_literal_chain_products(data, name, fq, count, kind):
+    """Tensor products of 2-3 permutation modules in random bases: the
+    matrix of every element, asked in a random order, is the chain product
+    of the Kronecker-product generator matrices."""
+    gens = FACTOR_GROUPS[name]
+    G = GroupTable(PermOps(len(gens[0])), gens)
+    f = field_make(*fq)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    mods = []
+    for _ in range(count):
+        s = _random_invertible(f, G.ops.degree, rng)
+        sinv = s.inverse()
+        mods.append(ModuleRep(G, f, [s @ m @ sinv
+                                     for m in perm_module(G, f).gen_mats]))
+    if kind == "power":
+        rep = mods[0].tensor_power(count)
+        mods = [mods[0]] * count
+    else:
+        if kind == "dual":
+            mods[0] = mods[0].dual()
+        rep = mods[0]
+        for m in mods[1:]:
+            rep = rep.tensor(m)
+    literal = _literal_tensor(mods)
+    assert rep.factors
+    assert [m.a.tolist() for m in rep.gen_mats] == \
+        [m.a.tolist() for m in literal.gen_mats]
+    for i in rng.sample(range(G.order), G.order):
+        assert np.array_equal(rep.at(i).a, literal.at(i).a)
+
+
+def test_generator_matrices_and_at_results_are_read_only():
+    """The memo hands out its matrices, generator matrices among them, so a
+    write into one raises instead of changing every later ``at``."""
+    G = a5()
+    f = field_make(2, 2)
+    rep = perm_module(G, f)
+    pt = subgroup_table(G, G.sylow(2))
+    other = next(i for i in range(G.order) if i not in (0, *G.gen_idx))
+    for mod, elems in ((rep, [0, *G.gen_idx, other]),
+                       (rep.dual().tensor(rep), [0, *G.gen_idx, other]),
+                       (rep.restrict(pt), range(pt.order))):
+        for m in mod.gen_mats:
+            with pytest.raises(ValueError, match="read-only"):
+                m.a[0, 0] = 1
+        for i in elems:
+            with pytest.raises(ValueError, match="read-only"):
+                mod.at(i).a[0, 0] = 1
+    assert rep.at(G.gen_idx[0]) is rep.gen_mats[0]
 
 
 def test_fixed_point_rows():
@@ -292,8 +366,11 @@ def check_walk_against_reference(rep, p, rng):
             assert len(calls) == len(subs) - 1
     finally:
         modrep.fixed_point_rows = real
+    # the reference multiplies the same generator matrices down the parent
+    # chain, whether or not rep keeps tensor factors
+    literal = ModuleRep(rep.table, rep.field, rep.gen_mats)
     for S in subs:
-        dim, fixed, image = reference_brauer_quotient(rep, S, p)
+        dim, fixed, image = reference_brauer_quotient(literal, S, p)
         bq = got[S]
         assert bq.subgroup == tuple(sorted(S))
         assert bq.dim == dim
@@ -362,6 +439,37 @@ def test_walk_matches_reference_on_restricted_end_modules(k_report, name):
     for u in mods:
         rest = u.restrict(pt)
         check_walk_against_reference(rest.dual().tensor(rest), 2, rng)
+
+
+def test_walk_matches_reference_on_a_factored_end_module(k_report):
+    """End(U) restricted to P, kept as dual(U) tensor U over GF(4), for the
+    smallest rejected 3A6 summand of dimension at least 14."""
+    res = k_report("3A6")
+    pt = subgroup_table(res.table, res.sylow)
+    u = min((m for r in res.records for m in r.reject_reps if m.dim >= 14),
+            key=lambda m: m.dim)
+    rest = u.restrict(pt)
+    end = rest.dual().tensor(rest)
+    assert end.factors and end.field.q == 4 and end.dim >= 196
+    check_walk_against_reference(end, 2, random.Random(13))
+
+
+@pytest.mark.parametrize("name", sorted(WALK_GROUPS))
+def test_walk_matches_reference_on_factored_tensor_modules(name):
+    """dual(U) tensor V for permutation modules U, V of each oracle p-group
+    in random bases, over GF(2) and GF(3): the walk's block stands in for a
+    trace only in characteristic 2."""
+    gens, p, _ = WALK_GROUPS[name]
+    P = GroupTable(PermOps(len(gens[0])), gens)
+    f = field_make(p, 1)
+    rng = random.Random(17)
+    mods = []
+    for _ in range(2):
+        s = _random_invertible(f, P.ops.degree, rng)
+        sinv = s.inverse()
+        mods.append(ModuleRep(P, f, [s @ m @ sinv
+                                     for m in perm_module(P, f).gen_mats]))
+    check_walk_against_reference(mods[0].dual().tensor(mods[1]), p, rng)
 
 
 def test_brauer_quotient_rejects_a_set_not_closed_under_the_product():
