@@ -1,0 +1,88 @@
+"""Check that two source trees give byte-identical ``endotriv analyze``
+reports.
+
+    python3 scripts/compare_reports.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository, run with its ``src`` first on
+PYTHONPATH.  Every catalog group that NEW_TREE lists is analyzed with
+``--check-theorem`` at seeds 0, 1 and 2, and at seed 0 with
+``--tensor-power 2`` and ``--tensor-power 3``, once per tree, one process
+at a time.  The report, the error output and the exit code of each run
+must agree.  At the first difference the script prints the group, the
+arguments and the first differing line of each tree, and exits 1; when
+every run agrees it prints the number of runs and exits 0.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = (0, 1, 2)
+TENSOR_POWERS = (2, 3)
+
+
+def endotriv(tree: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """``endotriv ARGS`` with the tree's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "endotriv.cli", *args],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def cases(groups: list[str]) -> list[list[str]]:
+    out = []
+    for group in groups:
+        base = ["analyze", "--group", group, "--check-theorem"]
+        out += [base + ["--seed", str(s)] for s in SEEDS]
+        out += [base + ["--seed", "0", "--tensor-power", str(m)]
+                for m in TENSOR_POWERS]
+    return out
+
+
+def first_difference(old: subprocess.CompletedProcess,
+                     new: subprocess.CompletedProcess) -> str:
+    """Empty when the runs agree, else where they first differ."""
+    for name in ("stdout", "stderr"):
+        a = getattr(old, name).splitlines()
+        b = getattr(new, name).splitlines()
+        for k in range(max(len(a), len(b))):
+            la = a[k] if k < len(a) else "<end of output>"
+            lb = b[k] if k < len(b) else "<end of output>"
+            if la != lb:
+                return f"{name} line {k + 1}:\n  old: {la}\n  new: {lb}"
+    if old.returncode != new.returncode:
+        return f"exit code: old {old.returncode}, new {new.returncode}"
+    return ""
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old_tree, new_tree = (Path(a).resolve() for a in argv)
+    for tree in (old_tree, new_tree):
+        if not (tree / "src" / "endotriv" / "cli.py").is_file():
+            print(f"error: {tree} has no src/endotriv/cli.py", file=sys.stderr)
+            return 2
+    listed = endotriv(new_tree, ["list", "--format", "json"])
+    if listed.returncode != 0:
+        print(f"error: endotriv list failed: {listed.stderr.strip()}",
+              file=sys.stderr)
+        return 2
+    groups = [row["name"] for row in json.loads(listed.stdout)]
+    runs = cases(groups)
+    for k, args in enumerate(runs, 1):
+        diff = first_difference(endotriv(old_tree, args),
+                                endotriv(new_tree, args))
+        if diff:
+            print(f"DIFFERENT {args[2]}  ({' '.join(args)})\n{diff}")
+            return 1
+        print(f"[{k}/{len(runs)}] same  {' '.join(args)}", flush=True)
+    print(f"all {len(runs)} runs identical on {len(groups)} groups")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,18 +16,25 @@ double-coset combinatorics taken from the orbit labeller of G and cached per
 
 Brauer quotients share one walk down the p-subgroup lattice per module: the
 fixed space of a p-subgroup Q is the part of the fixed space of its first
-maximal subgroup M fixed by one element of Q outside M.  Each module memoizes
-these fixed spaces by subgroup (as a set of table indices) for as long as it
-lives, so the quotients at every subgroup class of P, and the traces from
-their maximal subgroups, solve one small system per subgroup in all.  For
-p = 2 the walk's block (R(g) - 1) fixed(M)^T is, transposed, the trace image
-of fixed(M) in Q, since the transversal of M is {1, g} and 1 + R(g) =
-R(g) - 1; it is kept and reused.
+maximal subgroup M fixed by one element g of Q outside M.  Each module
+memoizes these fixed spaces by subgroup (as a set of table indices) for as
+long as it lives, so the quotients at every subgroup class of P, and the
+traces from their maximal subgroups, solve one small system per subgroup in
+all.  The walk runs in coordinates of the fixed spaces: a fixed basis is a
+product of gauss kernels, each the identity at its free columns, so it is
+the identity at columns cols(Q) memoized beside it, and a vector of fixed(Q)
+has its entries at cols(Q) as coordinates.  M is normal in Q, so R(g) keeps
+fixed(M), and of the walk's block (R(g) - 1) fixed(M)^T only the rows at
+cols(M) are formed, a dim fixed(M) square with the same kernel; the traces
+are eliminated on their entries at cols(Q).  For p = 2 the walk's block is,
+transposed, the trace image of fixed(M) in Q, since the transversal of M is
+{1, g} and 1 + R(g) = R(g) - 1; it is kept and reused.
 """
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -134,9 +141,11 @@ class ModuleRep:
         for m in [ident, *self.gen_mats]:
             m.a.flags.writeable = False
         self._memo: dict[int, FMatrix] = {0: ident}
-        # fixed rows of nontrivial p-subgroups, keyed by table indices (_fixed)
-        self._fixed: dict[frozenset[int], FMatrix] = {}
-        # p = 2: trace image of fixed(M) for M the walk's maximal subgroup (_fixed)
+        # fixed rows of nontrivial p-subgroups and the columns at which they
+        # are the identity, keyed by table indices (_fixed)
+        self._fixed: dict[frozenset[int], tuple[FMatrix, np.ndarray]] = {}
+        # p = 2: trace image of fixed(M) for M the walk's maximal subgroup,
+        # in coordinates of the subgroup's fixed rows (_fixed)
         self._walk_trace: dict[frozenset[int], np.ndarray] = {}
 
     def at(self, i: int) -> FMatrix:
@@ -311,50 +320,81 @@ class InducedContext:
         return ModuleRep(self.G, f, mats)
 
 
-def _minus_one(f: FieldTable, a: np.ndarray) -> np.ndarray:
-    """a - 1 for a square code array, in the field dtype: a copy of a with
-    1 subtracted on the diagonal (XOR for p = 2)."""
-    out = a.copy()
-    d = np.arange(len(out))
-    out[d, d] = f.sub_vec(out[d, d], np.ones(len(out), dtype=f.dtype))
+def _minus_one(f: FieldTable, a: np.ndarray,
+               rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """(a - 1)[rows] (default: every row) for a square code array, in the
+    field dtype: a copy of those rows of a with 1 subtracted where they
+    meet the diagonal (XOR for p = 2)."""
+    if rows is None:
+        rows = np.arange(len(a))
+    out = a[rows]
+    k = np.arange(len(rows))
+    out[k, rows] = f.sub_vec(out[k, rows], np.ones(len(rows), dtype=f.dtype))
     return out
 
 
 def fixed_point_rows(rep: ModuleRep, gen_indices: Optional[Sequence[int]] = None,
                      within: Optional[FMatrix] = None,
-                     stacks: Optional[list] = None) -> FMatrix:
+                     cols: Optional[np.ndarray] = None,
+                     record: Optional[list] = None) -> FMatrix:
     """Row basis of the vectors of the row space ``within`` (default: the
     whole space) fixed by the listed elements (default: the table's
     generators).
 
-    The blocks (rep(g) - 1) within^T are stacked, the kernel of the stack
-    gives coordinates c, and c within is returned; without ``within`` the
-    blocks are rep(g) - 1 and the kernel itself is returned.  When
-    ``stacks`` is a list, the stacked blocks are appended to it.
+    ``cols`` are columns at which ``within`` is the identity: for the whole
+    space, every column or None.  Without ``within`` the blocks are
+    rep(g) - 1, and the kernel of their stack is returned.  With it, every
+    listed element must map ``within`` into itself, so the block
+    (rep(g) - 1) within^T has its columns in ``within``, where a vector is
+    determined by its entries at ``cols``.  Only the rows at ``cols`` are
+    formed: a dim within square, not dim x dim within, with the same
+    kernel.  The kernel of the stack gives coordinates c, and c within is
+    returned.  A ``gauss`` kernel is the identity at its free
+    columns, so the rows returned are the identity at the stack's free
+    columns, read through ``cols``.  When ``record`` is a list, the stack
+    and the boolean mask of its free columns are appended to it.
     """
     idxs = list(gen_indices) if gen_indices is not None else list(rep.table.gen_idx)
     f = rep.field
     if not idxs:
         return FMatrix.identity(f, rep.dim) if within is None else within
-    blocks = [_minus_one(f, rep.at(i).a) for i in idxs]
+    if within is not None and cols is None:
+        raise ValueError("within needs the columns at which it is the "
+                         "identity")
+    blocks = [_minus_one(f, rep.at(i).a, cols) for i in idxs]
     if within is not None:
         wt = within.a.T
         blocks = [f.matmul(b, wt) for b in blocks]
     stack = FMatrix(f, np.vstack(blocks))
-    if stacks is not None:
-        stacks.append(stack.a)
-    coords = gauss(stack).kernel
+    res = gauss(stack)
+    if record is not None:
+        free = np.ones(stack.shape[1], dtype=bool)
+        free[list(res.pivots)] = False
+        record.append((stack.a, free))
+    coords = res.kernel
     return coords if within is None else FMatrix(f, f.matmul(coords.a, within.a))
 
 
 @dataclass
 class BrauerQuotient:
-    """Fixed rows, relative-trace image rows, and the quotient dimension."""
+    """Fixed rows, the relative-trace image in their coordinates, and the
+    quotient dimension.
+
+    A row c of ``coords`` stands for the vector c fixed; the rows span the
+    trace image.  ``image`` is that span as independent rows of the
+    module's space, formed on first use.
+    """
     rep: ModuleRep
     subgroup: tuple[int, ...]
     fixed: FMatrix
-    image: FMatrix
+    coords: FMatrix
     dim: int
+
+    @cached_property
+    def image(self) -> FMatrix:
+        f = self.rep.field
+        red = gauss(self.coords)
+        return FMatrix(f, f.matmul(red.rref.a[: red.rank], self.fixed.a))
 
     def action_scalars(self, gs: Sequence[int]) -> list[int]:
         """Scalar action of each element of gs (each must normalize the
@@ -426,23 +466,30 @@ def _maximal_subgroups(table: GroupTable, indices: Iterable[int], p: int
     return memo[key]
 
 
-def _fixed(rep: ModuleRep, sub: frozenset[int], p: int) -> Optional[FMatrix]:
-    """Fixed rows of a p-subgroup, by the walk down its first maximal
-    subgroups, memoized on the module; None for the trivial subgroup, which
-    fixes the whole space and is not stored."""
+def _fixed(rep: ModuleRep, sub: frozenset[int], p: int
+           ) -> Optional[tuple[FMatrix, np.ndarray]]:
+    """Fixed rows of a p-subgroup and the columns at which they are the
+    identity, by the walk down its first maximal subgroups, memoized on the
+    module; None for the trivial subgroup, which fixes the whole space and
+    is not stored."""
     if len(sub) == 1:
         return None
     if sub not in rep._fixed:
         mx, trans = _maximal_subgroups(rep.table, sub, p)[0]
         # [sub : mx] = p is prime, so one element outside mx generates sub over it
         g = next(x for x in trans if x not in mx)
-        stacks: list = []
-        rep._fixed[sub] = fixed_point_rows(rep, [g], _fixed(rep, mx, p), stacks)
+        below = _fixed(rep, mx, p)
+        within, cols = below if below is not None else (None, np.arange(rep.dim))
+        record: list = []
+        rows = fixed_point_rows(rep, [g], within, cols, record)
+        block, free = record[0]
+        # rows = c fixed(mx) for a kernel c, the identity at its free columns
+        rep._fixed[sub] = (rows, cols[free])
         if p == 2 and rep.field.p == 2:
             # trans = {1, g} and 1 + rep(g) = rep(g) - 1 in characteristic 2,
-            # so the block (rep(g) - 1) fixed(mx)^T is the trace image of
-            # fixed(mx) in sub, transposed
-            rep._walk_trace[sub] = stacks[0].T
+            # so the block's columns are the traces of the rows of fixed(mx);
+            # their coordinates in fixed(sub) are their entries at its columns
+            rep._walk_trace[sub] = np.ascontiguousarray(block[free].T)
     return rep._fixed[sub]
 
 
@@ -455,44 +502,60 @@ def brauer_quotient(rep: ModuleRep, sub_indices: Iterable[int], p: int
     the module for as long as it lives: the fixed space of Q is that of its
     first maximal subgroup M cut by one element outside M, so a subgroup
     met again, in any index order, costs nothing, and a new one costs an
-    elimination of dim fixed(M) columns.  The trace image of fixed(M) for
-    that first M is, for p = 2, the transposed block of the walk (``_fixed``);
-    every other maximal subgroup, and every one for odd p, sums rep(q) over
-    its transversal.  Raises ValueError unless the indices form a p-subgroup.
+    elimination of dim fixed(M) square.  Traces are eliminated in
+    coordinates of fixed(Q), the entries at the columns where it is the
+    identity.  The trace image of fixed(M) for that first M is, for p = 2,
+    the transposed block of the walk (``_fixed``); every other maximal
+    subgroup, and every one for odd p, sums the rows of rep(q) at those
+    columns over its transversal.  A cyclic Q at p = 2 has M alone, and
+    its walk block has rank dim fixed(M) - dim fixed(Q), so its quotient
+    has dimension 2 dim fixed(Q) - dim fixed(M) with no elimination.
+    Raises ValueError unless the indices form a p-subgroup.
     """
     table = rep.table
     f = rep.field
     sub = frozenset(sub_indices)
+    subgroup = tuple(sorted(sub))
     maximal = _maximal_subgroups(table, sub, p)
-    fixed = _fixed(rep, sub, p)
-    if fixed is None:
-        fixed = FMatrix.identity(f, rep.dim)
-    image_rows = []
+    fs = _fixed(rep, sub, p)
+    if fs is None:
+        fixed, cols = FMatrix.identity(f, rep.dim), np.arange(rep.dim)
+    else:
+        fixed, cols = fs
+    walk = rep._walk_trace.get(sub)
+    if walk is not None and len(maximal) == 1:
+        return BrauerQuotient(rep, subgroup, fixed, FMatrix(f, walk),
+                              2 * len(cols) - walk.shape[0])
+    blocks = []
     for k, (mx, reps) in enumerate(maximal):
         fr = _fixed(rep, mx, p)
-        if fr is not None and fr.a.shape[0] == 0:
+        if fr is not None and fr[0].a.shape[0] == 0:
             continue
-        if k == 0 and sub in rep._walk_trace:
-            image_rows.append(rep._walk_trace[sub])
+        if k == 0 and walk is not None:
+            blocks.append(walk)
             continue
-        acc = np.zeros((rep.dim, rep.dim), dtype=f.dtype)
+        acc = np.zeros((len(cols), rep.dim), dtype=f.dtype)
         for q in reps:
-            acc = f.add_vec(acc, rep.at(q).a)
+            acc = f.add_vec(acc, rep.at(q).a[cols])
         # rows of fr are fixed vectors v of mx; traces are (sum_q rep(q)) v,
         # so when mx = 1 fixes every vector they are the rows of acc^T
         acc_t = np.ascontiguousarray(acc.T)
-        image_rows.append(acc_t if fr is None else f.matmul(fr.a, acc_t))
-    if image_rows:
-        reduced = gauss(FMatrix(f, np.vstack(image_rows)))
-        image = FMatrix(f, np.ascontiguousarray(reduced.rref.a[: reduced.rank]))
+        blocks.append(acc_t if fr is None else f.matmul(fr[0].a, acc_t))
+    if blocks:
+        reduced = gauss(FMatrix(f, np.vstack(blocks)))
+        coords = np.ascontiguousarray(reduced.rref.a[: reduced.rank])
     else:
-        image = FMatrix(f, np.zeros((0, rep.dim), dtype=f.dtype))
-    dim = fixed.a.shape[0] - image.a.shape[0]
-    return BrauerQuotient(rep, tuple(sorted(sub)), fixed, image, dim)
+        coords = np.zeros((0, len(cols)), dtype=f.dtype)
+    return BrauerQuotient(rep, subgroup, fixed, FMatrix(f, coords),
+                          len(cols) - len(coords))
 
 
 def jordan_profile(rep: ModuleRep, i: int) -> dict[int, int]:
-    """Jordan block sizes of element i (order a power of char): {size: count}."""
+    """Jordan block sizes of element i (order a power of char): {size: count}.
+
+    Raises ValueError when rep(i) is not unipotent: the rank of
+    (rep(i) - 1)^j then stops falling above 0.
+    """
     f = rep.field
     m = rep.at(i)
     a = FMatrix(f, _minus_one(f, m.a))
@@ -500,6 +563,10 @@ def jordan_profile(rep: ModuleRep, i: int) -> dict[int, int]:
     power = a
     while ranks[-1] > 0:
         ranks.append(power.rank())
+        if ranks[-1] == ranks[-2]:
+            raise ValueError(f"element {i} does not act unipotently: "
+                             f"(rep - 1)^{len(ranks) - 1} keeps rank "
+                             f"{ranks[-1]}")
         power = power @ a
     # ranks[j] = rank((m - 1)^j), ending in 0; block counts by second difference
     out = {}

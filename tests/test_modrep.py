@@ -4,6 +4,7 @@ against the subgroup fixed-point count, an independent combinatorial value.
 """
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -366,6 +367,12 @@ def check_walk_against_reference(rep, p, rng):
             assert len(calls) == len(subs) - 1
     finally:
         modrep.fixed_point_rows = real
+    # every memoized fixed basis is the identity at its columns, so the
+    # entries there are coordinates
+    assert len(rep._fixed) == len(subs) - 1
+    for rows, cols in rep._fixed.values():
+        assert np.array_equal(rows.a[:, cols],
+                              np.eye(len(cols), dtype=rows.a.dtype))
     # the reference multiplies the same generator matrices down the parent
     # chain, whether or not rep keeps tensor factors
     literal = ModuleRep(rep.table, rep.field, rep.gen_mats)
@@ -374,8 +381,12 @@ def check_walk_against_reference(rep, p, rng):
         bq = got[S]
         assert bq.subgroup == tuple(sorted(S))
         assert bq.dim == dim
+        # a cyclic subgroup at p = 2 takes its dimension from the walk
+        # block by rank-nullity; its coordinate rows give the same rank
+        assert bq.dim == bq.fixed.a.shape[0] - gauss(bq.coords).rank
         assert _row_space(bq.fixed) == _row_space(fixed)
         assert _row_space(bq.image) == _row_space(image)
+        assert bq.image.a.shape[0] == bq.fixed.a.shape[0] - bq.dim
 
 
 def _random_invertible(f, n, rng):
@@ -394,18 +405,21 @@ WALK_GROUPS = {
 }
 
 
-@given(data=st.data(), name=st.sampled_from(sorted(WALK_GROUPS)))
-@settings(max_examples=40, deadline=None)
-def test_walk_matches_per_subgroup_reference(data, name):
-    """A sum of permutation modules k[R\\P] over random subgroups R, in a
-    random basis."""
+@given(data=st.data(), name=st.sampled_from(sorted(WALK_GROUPS)),
+       end=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_per_subgroup_reference(data, name, end):
+    """A sum U of permutation modules k[R\\P] over random subgroups R, in a
+    random basis, or (one R) the factored End module dual(U) tensor U: the
+    walk in fixed-space coordinates against the reference."""
     gens, p, degrees = WALK_GROUPS[name]
     P = GroupTable(PermOps(len(gens[0])), gens)
     f = field_make(p, data.draw(st.sampled_from(degrees)))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     subs = P.subgroups(range(P.order))
     blocks = []
-    for R in data.draw(st.lists(st.sampled_from(subs), min_size=1, max_size=3)):
+    for R in data.draw(st.lists(st.sampled_from(subs), min_size=1,
+                                max_size=1 if end else 3)):
         ctx = InducedContext(P, sorted(R))
         triv = character_group(ctx.ntable, ctx.ntable.abelianization_pprime(p),
                                f)[0]
@@ -423,6 +437,9 @@ def test_walk_matches_per_subgroup_reference(data, name):
     s = _random_invertible(f, n, rng)
     sinv = s.inverse()
     rep = ModuleRep(P, f, [s @ m @ sinv for m in mats])
+    if end:
+        rep = rep.dual().tensor(rep)
+        assert rep.factors
     check_walk_against_reference(rep, p, rng)
 
 
@@ -539,6 +556,58 @@ def test_jordan_profile_matches_int64_reference():
                     {j: c for j, c in want.items() if c}, (name, e, u)
 
 
+def test_jordan_profile_rejects_an_element_that_is_not_unipotent():
+    """The regular module of C3 <= A5 over GF(2): (m - 1)^j keeps rank 2
+    for every j, so the ranks never reach 0 and the profile is refused."""
+    G = a5()
+    c3 = subgroup_table(G, G.closure([next(x for x in range(G.order)
+                                           if G.order_of(x) == 3)]))
+    f = field_make(2, 1)
+    ctx = InducedContext(c3, [0])
+    triv = character_group(ctx.ntable, ctx.ntable.abelianization_pprime(2),
+                           f)[0]
+    reg = ctx.induce(triv)
+    assert reg.dim == 3
+    for u in range(1, 3):
+        with pytest.raises(ValueError, match="does not act unipotently"):
+            jordan_profile(reg, u)
+    assert jordan_profile(reg, 0) == {1: 3}
+    # an involution of A5 on the permutation module is still profiled
+    rep = perm_module(G, f)
+    inv = next(x for x in range(G.order) if G.order_of(x) == 2)
+    assert jordan_profile(rep, inv) == {1: 1, 2: 2}
+
+
+@pytest.mark.parametrize("name", ["A4", "A5", "PSL(2,7)", "3A6"])
+def test_image_and_action_scalars_on_tensor_squares(k_report, name):
+    """The Brauer quotients at P of the tensor squares that
+    ``--tensor-power 2`` checks: reading ``image`` leaves ``dim`` as it was
+    and spans the reference image, and the action scalars are those of the
+    reference fixed rows and image."""
+    res = k_report(name)
+    nt = res.ctx.ntable
+    S = res.ctx.g2n[res.sylow].tolist()
+    checked = 0
+    for r in res.records:
+        if not r.endotrivial:
+            continue
+        square = r.rep.restrict(nt).tensor_power(2)
+        bq = brauer_quotient(square, S, 2)
+        dim = bq.dim
+        image = bq.image
+        assert bq.dim == dim == 1
+        literal = ModuleRep(nt, square.field, square.gen_mats)
+        ref_dim, ref_fixed, ref_image = reference_brauer_quotient(literal, S, 2)
+        assert ref_dim == dim
+        assert _row_space(image) == _row_space(ref_image)
+        assert image.a.shape[0] == ref_image.a.shape[0]
+        ref = SimpleNamespace(rep=literal, fixed=ref_fixed, image=ref_image)
+        assert bq.action_scalars(nt.gen_idx) == \
+            [action_scalar_reference(ref, g) for g in nt.gen_idx]
+        checked += 1
+    assert checked
+
+
 def test_brauer_action_scalar_trivial():
     G = a5()
     f = field_make(2, 2)
@@ -589,8 +658,10 @@ def test_action_scalar_base_skips_rows_inside_the_image():
     f = field_make(2, 2)
     rep = ModuleRep(G, f, [FMatrix.identity(f, 2) for _ in G.gens])
     ident = FMatrix.identity(f, 2)
+    # image coordinates [1, 0]: the image is the first fixed row
     bq = BrauerQuotient(rep, (0,), FMatrix(f, [[1, 1], [0, 1]]),
-                        FMatrix(f, [[1, 1]]), 1)
+                        FMatrix(f, [[1, 0]]), 1)
+    assert bq.image.a.tolist() == [[1, 1]]
     assert bq.action_scalars([1]) == [action_scalar_reference(bq, 1)] == [1]
     inside = BrauerQuotient(rep, (0,), ident, ident, 1)
     with pytest.raises(RuntimeError, match="no fixed row outside"):
