@@ -4,7 +4,11 @@ Splits an induced module lambda^G into indecomposable summands by computing
 its Hecke endomorphism algebra on double cosets, finding the radical of that
 algebra, extracting a complete set of orthogonal primitive idempotents, and
 realizing their images.  Also provides irreducibility testing and chopping
-into composition factors for the summands themselves.
+into composition factors for the summands themselves.  The irreducibility
+test is Holt and Rees's exact form of the MeatAxe (J. Austral. Math. Soc. A
+57, 1994): for each random algebra element it spins one null vector and
+then one null vector of the transpose, at most two spins (see
+``is_irreducible``).
 
 The radical (Cohen, Ivanyos and Wales, JPAA 117/118, 1997) is batched.  Its
 level-0 Gram matrix, the trace form tr(L_a L_b), is one product of the
@@ -32,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ffla import FieldTable, FMatrix, gauss, solve_right
+from .ffla import FieldTable, FMatrix, gauss, kron, solve_right
 from .modrep import InducedContext, LinearCharacter, ModuleRep
 
 __all__ = [
@@ -657,7 +661,8 @@ def split_summands(ctx: InducedContext, lam: LinearCharacter,
 
 
 # ---------------------------------------------------------------------------
-# spinning, irreducibility (randomized), composition factors
+# spinning, irreducibility (Holt-Rees: random algebra elements, exact
+# verdicts), composition factors
 
 def spin(f: FieldTable, mats: Sequence[FMatrix], seeds: np.ndarray) -> FMatrix:
     """Smallest invariant subspace (column action) containing the seed rows,
@@ -724,32 +729,31 @@ def _mat_poly(f: FieldTable, poly: np.ndarray, z: FMatrix) -> FMatrix:
     return acc
 
 
-def _projective_combos(f: FieldTable, rows: np.ndarray):
-    """All nonzero combinations of the rows, one per scalar line."""
-    from itertools import product as iproduct
-    d = rows.shape[0]
-    for lead in range(d):
-        for tail in iproduct(range(f.q), repeat=d - lead - 1):
-            coeffs = np.zeros(d, dtype=np.int64)
-            coeffs[lead] = 1
-            coeffs[lead + 1:] = tail
-            yield f.matmul(coeffs[None, :].astype(f.dtype),
-                           rows.astype(f.dtype))[0].astype(np.int64)
-
-
 def is_irreducible(f: FieldTable, mats: Sequence[FMatrix], rng: random.Random
                    ) -> tuple[bool, Optional[FMatrix]]:
-    """Norton-style test with exhaustive null-space spinning.
+    """Holt-Rees irreducibility test: at most two spins per algebra element.
 
     Returns (True, None), or (False, row basis of a proper nonzero invariant
-    subspace).  For a singular algebra element w, any proper submodule meets
-    null(w) or its annihilator meets the left null space, so spinning every
-    scalar line on both sides decides irreducibility outright.
+    subspace).  For a random algebra element z, let g0 be an irreducible
+    factor of the minimal polynomial of z on a cyclic subspace (so g0(z) is
+    singular) and N = null g0(z).  Spin one nonzero vector of N, then one
+    nonzero vector of null g0(z)^T under the transposed generators; a proper
+    span is a witness (the annihilator of the second one).  If both spans are
+    the whole space and dim N = deg g0, the module is irreducible; otherwise
+    draw another z (Holt and Rees, J. Austral. Math. Soc. A 57, 1994).
+
+    Lemma: when dim N = deg g0, every proper nonzero submodule W contains N
+    or has all of null g0(z)^T in its annihilator W^perp.  Proof: N is one
+    line over the field k[z]/(g0), and W meets N in a k[z]-subspace, so
+    W cap N is 0 or N.  If W cap N = 0, g0(z) is injective, hence invertible,
+    on W; so W lies in the image of g0(z), and W^perp contains null g0(z)^T.
+    Either way one of the two spins stays inside a proper submodule.
     """
     n = mats[0].a.shape[0]
     if n == 1:
         return True, None
     q = f.q
+    tmats = [FMatrix(f, np.ascontiguousarray(m.a.T)) for m in mats]
     for _ in range(80):
         z = _random_algebra_elem(f, mats, rng)
         if z.is_zero():
@@ -766,26 +770,18 @@ def is_irreducible(f: FieldTable, mats: Sequence[FMatrix], rng: random.Random
         g0 = fac[0][0]
         w = _mat_poly(f, g0, z)
         null = gauss(w).kernel
-        d = null.shape[0]
-        if d == 0 or d == n:
-            continue
-        if (q ** d - 1) // (q - 1) > 420:
-            continue
-        for u in _projective_combos(f, null.a):
-            span = spin(f, mats, u)
-            if span.shape[0] < n:
-                return False, span
-        nullt = gauss(w.T).kernel
-        tmats = [FMatrix(f, np.ascontiguousarray(m.a.T)) for m in mats]
-        for u in _projective_combos(f, nullt.a):
-            spant = spin(f, tmats, u)
-            if spant.shape[0] < n:
-                # annihilator of the dual-side submodule is invariant
-                ann = gauss(spant).kernel
-                if not 0 < ann.a.shape[0] < n:
-                    raise RuntimeError("dual annihilator is not a proper subspace")
-                return False, ann
-        return True, None
+        span = spin(f, mats, null.a[0])
+        if span.shape[0] < n:
+            return False, span
+        spant = spin(f, tmats, gauss(w.T).kernel.a[0])
+        if spant.shape[0] < n:
+            # annihilator of the dual-side submodule is invariant
+            ann = gauss(spant).kernel
+            if not 0 < ann.a.shape[0] < n:
+                raise RuntimeError("dual annihilator is not a proper subspace")
+            return False, ann
+        if null.shape[0] == pdeg(g0):
+            return True, None
     raise RuntimeError("no usable singular element found")
 
 
@@ -831,18 +827,10 @@ def module_iso(f: FieldTable, amats: Sequence[FMatrix],
     n = amats[0].a.shape[0]
     if bmats[0].a.shape[0] != n:
         return None
-    blocks = []
-    for A, B in zip(amats, bmats):
-        blk = np.zeros((n * n, n * n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                # equation (T A - B T)[i, j] = 0 in the unknowns T[a, b]
-                row = np.zeros((n, n), dtype=np.int64)
-                row[i, :] = A.a[:, j].astype(np.int64)
-                col = np.zeros((n, n), dtype=np.int64)
-                col[:, j] = B.a[i, :].astype(np.int64)
-                blk[i * n + j] = f.sub_vec(row.reshape(-1), col.reshape(-1))
-        blocks.append(blk)
+    # T A - B T = 0 on the row-major vec(T): (I kron A^T - B kron I) vec(T)
+    ident = FMatrix.identity(f, n)
+    blocks = [f.sub_vec(kron(ident, A.T).a, kron(B, ident).a)
+              for A, B in zip(amats, bmats)]
     ker = gauss(FMatrix(f, np.vstack(blocks))).kernel.a
     if ker.shape[0] == 0:
         return None

@@ -7,6 +7,7 @@ elements and against a reference built on that characteristic polynomial,
 and the induced-module machinery against an alternating group worked end to
 end.
 """
+import functools
 import itertools
 import random
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endotriv import split
+from endotriv.catalog import build_group
 from endotriv.ffla import FMatrix, field_make, gauss, solve_right
 from endotriv.grp import GroupTable, PermOps
 from endotriv.modrep import InducedContext, character_group
@@ -388,6 +390,7 @@ def test_radical_matches_charpoly_reference(pe, data, cells, seed):
 CHECKS_UNDER_O = """
 import numpy as np
 from endotriv import split
+from endotriv.catalog import build_group
 from endotriv.ffla import FieldTable, field_make
 from endotriv.grp import GroupTable, PermOps
 from endotriv.modrep import InducedContext, character_group
@@ -656,13 +659,7 @@ def test_irreducibility_and_factors(a5setup):
     # the full 5-dim permutation-like module is reducible
     ok5, wit5 = is_irreducible(f, ind0.gen_mats, random.Random(1))
     assert not ok5
-    assert 0 < wit5.a.shape[0] < 5
-    # witness rows span an invariant subspace
-    span = FMatrix(f, wit5.a)
-    for m in ind0.gen_mats:
-        prod = span @ m
-        stacked = np.vstack([span.a, prod.a]).astype(f.dtype)
-        assert gauss(FMatrix(f, stacked)).rank == wit5.a.shape[0]
+    assert_proper_submodule(f, ind0.gen_mats, wit5)
     # composition factors of the 5-dim correspondent
     ind1 = ctx.induce(chars[1])
     s1 = split_summands(ctx, chars[1], ind1, random.Random(0))
@@ -822,6 +819,195 @@ def test_spin_matches_incremental_reference(pe, n, ngens, seed):
         images = f.matmul(got.a, m.a.T)
         assert gauss(FMatrix(f, np.vstack([got.a, images]))).rank == \
             got.a.shape[0]
+
+
+# -- irreducibility against the exhaustive reference --------------------------
+
+def _projective_combos(f, rows):
+    """All nonzero combinations of the rows, one per scalar line."""
+    d = rows.shape[0]
+    for lead in range(d):
+        for tail in itertools.product(range(f.q), repeat=d - lead - 1):
+            coeffs = np.zeros(d, dtype=np.int64)
+            coeffs[lead] = 1
+            coeffs[lead + 1:] = tail
+            yield f.matmul(coeffs[None, :].astype(f.dtype),
+                           rows.astype(f.dtype))[0].astype(np.int64)
+
+
+def is_irreducible_reference(f, mats, rng):
+    """Norton-style verdict by exhaustive null-space spinning.
+
+    For one singular algebra element w = g0(z), spin every scalar line of
+    null(w) and of null(w^T).  A proper submodule W meets null(w), or g0(z)
+    is invertible on W and the annihilator of W contains null(w^T); so some
+    line spins to a proper subspace iff the module is reducible, whatever
+    dim null(w) is.  This is the package's test before the Holt-Rees form,
+    without its 420-line cap and without its skip of g0(z) = 0: in dimension
+    at most 6 a null space has at most 1365 lines.
+    """
+    n = mats[0].a.shape[0]
+    if n == 1:
+        return True
+    tmats = [FMatrix(f, np.ascontiguousarray(m.a.T)) for m in mats]
+    while True:
+        z = split._random_algebra_elem(f, mats, rng)
+        v = np.array([rng.randrange(f.q) for _ in range(n)], dtype=np.int64)
+        if z.is_zero() or not v.any():
+            continue
+        fac = factor_poly(f, split._krylov_minpoly(f, z, v), rng)
+        if len(fac) == 1 and fac[0][1] == 1 and pdeg(fac[0][0]) == n:
+            return True
+        w = split._mat_poly(f, fac[0][0], z)
+        for null, gens in ((gauss(w).kernel, mats),
+                           (gauss(w.T).kernel, tmats)):
+            if any(spin(f, gens, u).shape[0] < n
+                   for u in _projective_combos(f, null.a)):
+                return False
+        return True
+
+
+def assert_proper_submodule(f, mats, wit):
+    """The witness rows span a proper, nonzero, invariant subspace."""
+    n = mats[0].a.shape[0]
+    r = gauss(wit).rank
+    assert r == wit.a.shape[0] and 0 < r < n
+    for m in mats:
+        images = f.matmul(wit.a, m.a.T)
+        assert gauss(FMatrix(f, np.vstack([wit.a, images]))).rank == r
+
+
+# Small catalog groups with a character group over each field: GF(2) has no
+# cube root of unity, which A4 and A5 need.
+SMALL_GROUPS = {(2, 1): ("S4", "PSL(2,7)"),
+                (2, 2): ("A4", "S4", "A5", "PSL(2,7)"),
+                (3, 1): ("A4", "S4", "A5", "PSL(2,7)")}
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_summands(pe):
+    """Per small catalog group, the generator matrices of every summand of
+    dimension at most 6 of the induced modules lambda^G over GF(p^e)."""
+    f = field_make(*pe)
+    out = []
+    for name in SMALL_GROUPS[pe]:
+        G = build_group(name)[0]
+        ctx = InducedContext(G, G.normalizer(G.sylow(pe[0])))
+        chars = character_group(ctx.ntable,
+                                ctx.ntable.abelianization_pprime(pe[0]), f)
+        out.append([s.rep.gen_mats for lam in chars
+                    for s in split_summands(ctx, lam, ctx.induce(lam),
+                                            random.Random(0))
+                    if s.dim <= 6])
+    return out
+
+
+def _in_random_basis(f, mats, rng):
+    P = _random_invertible(f, mats[0].a.shape[0], rng)
+    return [P.inverse() @ m @ P for m in mats]
+
+
+def _direct_sum(f, amats, bmats):
+    a, b = amats[0].a.shape[0], bmats[0].a.shape[0]
+    out = []
+    for A, B in zip(amats, bmats):
+        g = np.zeros((a + b, a + b), dtype=f.dtype)
+        g[:a, :a], g[a:, a:] = A.a, B.a
+        out.append(FMatrix(f, g))
+    return out
+
+
+@st.composite
+def small_modules(draw):
+    """Modules of dimension at most 6 over GF(2), GF(4) or GF(3): direct
+    sums (sometimes of one module with itself), block upper triangular
+    extensions, and catalog summands alone or summed in pairs."""
+    pe = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    f = field_make(*pe)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["sum", "extension", "catalog"]))
+    ngens = draw(st.integers(1, 3))
+    if kind == "extension":
+        n = draw(st.integers(2, 6))
+        return f, _flag_module(f, n, draw(st.integers(0, n)), ngens, rng)
+    if kind == "sum":
+        a = draw(st.integers(1, 5))
+        b = draw(st.integers(1, 6 - a))
+        amats = _flag_module(f, a, draw(st.integers(0, a)), ngens, rng)
+        bmats = (amats if a == b and draw(st.booleans()) else
+                 _flag_module(f, b, draw(st.integers(0, b)), ngens, rng))
+        return f, _in_random_basis(f, _direct_sum(f, amats, bmats), rng)
+    summands = draw(st.sampled_from(catalog_summands(pe)))
+    mats = draw(st.sampled_from(summands))
+    small = [m for m in summands if m[0].a.shape[0] + mats[0].a.shape[0] <= 6]
+    if small and draw(st.booleans()):
+        mats = _direct_sum(f, mats, draw(st.sampled_from(small)))
+    return f, _in_random_basis(f, mats, rng)
+
+
+@given(small_modules(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_irreducible_matches_exhaustive_reference(module, seed):
+    f, mats = module
+    ok, wit = is_irreducible(f, mats, random.Random(seed))
+    assert ok == is_irreducible_reference(f, mats, random.Random(seed))
+    if ok:
+        assert wit is None
+    else:
+        assert_proper_submodule(f, mats, wit)
+
+
+# Modules on which g0(z) = 0 for every algebra element z: sums of trivial
+# modules, where z is a scalar, and GF(4)^2 viewed over GF(2), where z lies in
+# GF(4) and deg g0 = 2 is less than the dimension.
+GF4_OVER_GF2 = np.kron(np.eye(2, dtype=np.int64), [[0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("pe, gens, dims", [
+    ((2, 1), [np.eye(2), np.eye(2)], [1, 1]),
+    ((2, 2), [np.eye(2), np.eye(2)], [1, 1]),
+    ((3, 1), [np.eye(2), np.eye(2)], [1, 1]),
+    ((2, 1), [np.eye(3), np.eye(3)], [1, 1, 1]),
+    ((2, 2), [np.eye(3), np.eye(3)], [1, 1, 1]),
+    ((3, 1), [np.eye(3), np.eye(3)], [1, 1, 1]),
+    ((2, 1), [GF4_OVER_GF2], [2, 2]),
+])
+def test_chop_when_g0_vanishes(pe, gens, dims):
+    f = field_make(*pe)
+    mats = [FMatrix(f, g) for g in gens]
+    assert composition_factor_dims(f, mats, random.Random(0)) == dims
+
+
+def test_at_most_two_spins_per_algebra_element(k_report):
+    """Chop each seed-0 PSL(2,13) correspondent again with the random stream
+    of its report, logging every random algebra element and every spin."""
+    res = k_report("PSL(2,13)")
+    f = field_make(res.field_p, res.field_e)
+    log = []
+    draw, real_spin = split._random_algebra_elem, split.spin
+
+    def logged_draw(*args):
+        log.append("z")
+        return draw(*args)
+
+    def logged_spin(*args):
+        log.append("spin")
+        return real_spin(*args)
+
+    with mock.patch.object(split, "_random_algebra_elem", logged_draw), \
+            mock.patch.object(split, "spin", logged_spin):
+        for rec in res.records:
+            tag = "-".join(map(str, rec.exps))
+            dims = composition_factor_dims(f, rec.rep.gen_mats,
+                                           random.Random(f"0:chop:{tag}"))
+            assert tuple(dims) == rec.factors
+    spins_per_z = []
+    for event in log:
+        if event == "z":
+            spins_per_z.append(0)
+        else:
+            spins_per_z[-1] += 1
+    assert spins_per_z and max(spins_per_z) <= 2
 
 
 # -- one stacked solve per summand against one solve per generator ------------
