@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .catalog import build_group, entries
-from .etk import (KReport, compute_K, minimal_field_degree,
-                  tensor_power_class, theorem_check)
+from .etk import (TENSOR_LITERAL_CAP, KReport, compute_K,
+                  minimal_field_degree, tensor_power_class, theorem_check)
 from .ffla import field_make
 from .modrep import subgroup_table
 from .split import NeedSplittingField
@@ -28,7 +28,7 @@ class RunConfig:
     field_degree: Optional[int] = None
     seed: int = 0
     tensor_power: Optional[int] = None
-    tensor_budget: int = 1200
+    tensor_budget: int = TENSOR_LITERAL_CAP
     output_format: str = "json"
     check_theorem: bool = False
 
@@ -193,7 +193,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--tensor-power", type=int, default=None,
                    help="also identify this tensor power of every "
                         "endo-trivial correspondent")
-    p.add_argument("--tensor-budget", type=int, default=1200,
+    p.add_argument("--tensor-budget", type=int, default=TENSOR_LITERAL_CAP,
                    help="largest literal tensor power dimension to verify")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--check-theorem", action="store_true",

@@ -541,11 +541,15 @@ class FMatrix:
     __slots__ = ("field", "a")
 
     def __init__(self, field: FieldTable, a: np.ndarray):
-        arr = np.ascontiguousarray(np.asarray(a, dtype=field.dtype))
-        if arr.ndim != 2:
+        raw = np.asarray(a)
+        if raw.ndim != 2:
             raise ValueError("FMatrix needs a 2-d array")
-        if arr.size and int(arr.max()) >= field.q:
+        # checked before the cast to the unsigned field dtype, which would
+        # wrap 257 to 1 and -1 to q - 1
+        if raw.size and (int(raw.max()) >= field.q or (
+                raw.dtype != field.dtype and int(raw.min()) < 0)):
             raise ValueError("entry code out of field range")
+        arr = np.ascontiguousarray(raw, dtype=field.dtype)
         self.field = field
         self.a = arr
 

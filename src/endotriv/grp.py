@@ -33,6 +33,9 @@ ENUM_CAP = 20000
 # an element is a tuple of `degree` entries: ENUM_CAP of them at this degree
 # take about 160 MiB, so a larger degree is refused before any is built
 MAX_PERM_DEGREE = 1024
+# a matrix element and its tobytes key hold 2 dim^2 codes of at least one
+# byte each: ENUM_CAP of them at this dimension take about 160 MiB
+MAX_MAT_DIM = 64
 
 
 class PermOps:
@@ -65,6 +68,9 @@ class MatOps:
     """Invertible dim x dim matrices over a FieldTable, stored as code arrays."""
 
     def __init__(self, field: FieldTable, dim: int):
+        if dim > MAX_MAT_DIM:
+            raise ValueError(f"matrix dimension {dim} exceeds the limit "
+                             f"{MAX_MAT_DIM}")
         self.field = field
         self.dim = dim
 

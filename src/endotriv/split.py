@@ -25,18 +25,27 @@ polynomial.  Products in the Hecke algebra
 are contractions with its structure tensor, and realizing an element is one
 contraction with the double-coset value table and one gather.
 
+A Hecke algebra A computes one radical, J(A), from its left-regular
+matrices; a corner eAe reads its semisimple dimension off
+J(eAe) = e J(A) e.  A Krylov minimal polynomial is one Gauss-Jordan on the
+columns v, z v, ..., z^n v, and its rows give an idempotent polynomial in a
+corner element x as one product with e, x, x^2, ...  A summand with
+idempotent E = C R (C its pivot columns, R its RREF rows) has R C = 1, so a
+generator g acts on it as R (g C).
+
 All randomized steps draw from an explicitly passed random.Random, so a run
 is reproducible from its seed.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ffla import FieldTable, FMatrix, gauss, kron, solve_right
+from .ffla import FieldTable, FMatrix, gauss, kron
 from .modrep import InducedContext, LinearCharacter, ModuleRep
 
 __all__ = [
@@ -456,6 +465,11 @@ def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
 # ---------------------------------------------------------------------------
 # Hecke endomorphism algebra of an induced character
 
+# random corner elements drawn before a corner that neither splits nor is
+# certified local raises NeedSplittingField
+SPLIT_TRIES = 40
+
+
 class HeckeEnd:
     """End_kG(lambda^G) on its double-coset basis.
 
@@ -529,55 +543,35 @@ class HeckeEnd:
 
     # -- idempotent machinery -------------------------------------------------
 
-    def _corner_basis(self, e: np.ndarray) -> np.ndarray:
-        # column k of R_e L_e is e F_k e
-        rows = self.f.matmul(self.right_mul(e), self.left_mul(e)).T
-        red = gauss(FMatrix(self.f, rows))
-        return red.rref.a[: red.rank].astype(np.int64)
+    @functools.cached_property
+    def radical(self) -> np.ndarray:
+        """Row basis of J(A), from the left-regular matrices L_k."""
+        n = self.dim_alg
+        return algebra_radical(self.f, self._left.reshape(n, n, n)).a
 
-    def _corner_regular(self, basis: np.ndarray) -> list[np.ndarray]:
+    def _corner(self, e: np.ndarray) -> tuple[np.ndarray, int]:
+        """(row basis of eAe, dim of eAe / J(eAe)).  Column k of R_e L_e is
+        e F_k e, and J(eAe) = e J(A) e is spanned by the rows of
+        J (R_e L_e)^T."""
         f = self.f
-        m, n = basis.shape
-        # [(i, d), j] = (L_{b_i} b_j)[d] = (b_i b_j)[d]
-        prods = f.matmul(self._contract(self._left, basis).reshape(m * n, n),
-                         basis.T.astype(f.dtype))
-        prods = prods.reshape(m, n, m).transpose(1, 0, 2).reshape(n, m * m)
-        sol = solve_right(FMatrix(f, basis).T, FMatrix(f, prods))
-        if sol is None:
-            raise RuntimeError("corner not closed under multiplication")
-        coords = sol.a.astype(np.int64)  # m x (m*m), column i*m+j = b_i b_j
-        return [np.ascontiguousarray(coords[:, i * m:(i + 1) * m])
-                for i in range(m)]
+        rows = f.matmul(self.right_mul(e), self.left_mul(e)).T
+        red = gauss(FMatrix(f, rows))
+        rad = gauss(FMatrix(f, f.matmul(self.radical, rows))).rank
+        return red.rref.a[: red.rank].astype(np.int64), red.rank - rad
 
-    def _poly_at(self, poly: np.ndarray, x: np.ndarray, e: np.ndarray
-                 ) -> np.ndarray:
-        """Evaluate poly at x inside the corner with unit e (Horner)."""
-        f = self.f
-        acc = np.zeros(self.dim_alg, dtype=np.int64)
-        for c in poly[::-1]:
-            acc = self.mul(acc, x)
-            if c:
-                acc = f.add_vec(acc, f.mul_vec(np.int64(int(c)), e)).astype(np.int64)
-        return acc
-
-    def _split_corner(self, e: np.ndarray, rng: random.Random, tries: int = 40
+    def _split_corner(self, e: np.ndarray, rng: random.Random
                       ) -> list[np.ndarray]:
         f = self.f
-        basis = self._corner_basis(e)
-        m = basis.shape[0]
-        if m == 1:
-            return [e]
-        reg = self._corner_regular(basis)
-        rad = algebra_radical(f, reg)
-        sdim = m - rad.a.shape[0]
+        basis, sdim = self._corner(e)
         if sdim == 1:
             return [e]
-        for _ in range(tries):
+        m = basis.shape[0]
+        for _ in range(SPLIT_TRIES):
             coeffs = np.array([rng.randrange(f.q) for _ in range(m)], dtype=np.int64)
             x = f.matmul(coeffs[None, :].astype(f.dtype),
                          basis.astype(f.dtype))[0].astype(np.int64)
-            # e x = x, so the Krylov sequence of R_x on e is e, x, x^2, ...
-            mp = _krylov_minpoly(f, FMatrix(f, self.right_mul(x)), e)
+            # e x = x, so the Krylov rows of R_x on e are e, x, x^2, ...
+            mp, powers = _krylov(f, FMatrix(f, self.right_mul(x)), e)
             fac = factor_poly(f, mp, rng)
             if len(fac) >= 2:
                 g0, m0 = fac[0]
@@ -590,14 +584,15 @@ class HeckeEnd:
                     raise RuntimeError("minimal polynomial factors are not coprime")
                 # idempotent: (u * rest) = 1 mod part, 0 mod rest
                 eps_poly = pmod(f, pmul(f, u, rest), mp)
-                eps = self._poly_at(eps_poly, x, e)
+                eps = f.matmul(eps_poly[None, :].astype(f.dtype),
+                               powers[: len(eps_poly)])[0].astype(np.int64)
                 if not np.array_equal(self.mul(eps, eps), eps):
                     raise RuntimeError("split element is not idempotent")
                 other = f.sub_vec(e, eps).astype(np.int64)
                 if self.mul(eps, other).any():
                     raise RuntimeError("split idempotents are not orthogonal")
-                return (self._split_corner(eps, rng, tries)
-                        + self._split_corner(other, rng, tries))
+                return (self._split_corner(eps, rng)
+                        + self._split_corner(other, rng))
             g0, _ = fac[0]
             if pdeg(g0) == sdim:
                 # residue field is generated by the image of x: local corner
@@ -640,14 +635,14 @@ def split_summands(ctx: InducedContext, lam: LinearCharacter,
         E = hecke.realize(e)
         red = gauss(E)
         r = red.rank
-        cols = np.ascontiguousarray(E.a[:, red.pivots])
-        C = FMatrix(f, cols)
-        # one solve C X = [g_1 C | g_2 C | ...] for every generator at once
-        images = np.hstack([f.matmul(g.a, cols) for g in induced.gen_mats])
-        sol = solve_right(C, FMatrix(f, images))
-        if sol is None:
+        C = FMatrix(f, np.ascontiguousarray(E.a[:, red.pivots]))
+        # E = C R for the RREF rows R, and E^2 = E gives R C = 1, so the
+        # generator g acts on the summand as R (g C)
+        images = np.hstack([f.matmul(g.a, C.a) for g in induced.gen_mats])
+        acts = f.matmul(red.rref.a[:r], images)
+        if not np.array_equal(f.matmul(C.a, acts), images):
             raise RuntimeError("summand basis not invariant")
-        mats = [FMatrix(f, sol.a[:, k * r:(k + 1) * r])
+        mats = [FMatrix(f, acts[:, k * r:(k + 1) * r])
                 for k in range(len(induced.gen_mats))]
         rep = ModuleRep(induced.table, f, mats)
         out.append(Summand(rep, r, e, C))
@@ -699,23 +694,23 @@ def _random_algebra_elem(f: FieldTable, mats: Sequence[FMatrix],
     return acc
 
 
-def _krylov_minpoly(f: FieldTable, z: FMatrix, v: np.ndarray,
-                    ) -> np.ndarray:
-    """Minimal polynomial of z on the cyclic subspace generated by v."""
-    rows = [v.astype(np.int64)]
-    cur = rows[0]
-    while True:
-        cur = f.matmul(z.a.astype(f.dtype), cur.astype(f.dtype)[:, None]
-                       )[:, 0].astype(np.int64)
-        prev = FMatrix(f, np.stack(rows)).T
-        sol = solve_right(prev, FMatrix(f, cur[None, :]).T)
-        if sol is not None:
-            coeffs = f.neg_vec(sol.a[:, 0].astype(np.int64)).astype(np.int64)
-            out = np.zeros(len(rows) + 1, dtype=np.int64)
-            out[: len(rows)] = coeffs
-            out[len(rows)] = 1
-            return out
-        rows.append(cur)
+def _krylov(f: FieldTable, z: FMatrix, v: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(minimal polynomial of z on the cyclic subspace generated by v, its
+    Krylov rows v, z v, ..., z^(d-1) v with d the degree).
+
+    One Gauss-Jordan on the columns v, z v, ..., z^n v: the first d are the
+    pivots, and the kernel row of free column d is the polynomial.
+    """
+    n = z.a.shape[0]
+    zt = np.ascontiguousarray(z.a.T)
+    rows = np.zeros((n + 1, n), dtype=f.dtype)
+    rows[0] = v
+    for k in range(n):
+        rows[k + 1] = f.matmul(rows[k: k + 1], zt)[0]
+    red = gauss(FMatrix(f, rows.T))
+    d = red.rank
+    return red.kernel.a[0, : d + 1].astype(np.int64), rows[:d]
 
 
 def _mat_poly(f: FieldTable, poly: np.ndarray, z: FMatrix) -> FMatrix:
@@ -761,7 +756,7 @@ def is_irreducible(f: FieldTable, mats: Sequence[FMatrix], rng: random.Random
         v = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
         if not v.any():
             continue
-        mp = _krylov_minpoly(f, z, v)
+        mp = _krylov(f, z, v)[0]
         fac = factor_poly(f, mp, rng)
         if len(fac) == 1 and fac[0][1] == 1 and pdeg(fac[0][0]) == n:
             # the algebra contains a field of degree n, so the module is a

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from endotriv import catalog, cli, ffla
-from endotriv.grp import (MAX_PERM_DEGREE, GroupTable, PermOps,
+from endotriv.grp import (MAX_MAT_DIM, MAX_PERM_DEGREE, GroupTable, PermOps,
                           parse_group_file, serialize_group_file)
 from endotriv.modrep import ModuleRep
 
@@ -501,6 +501,19 @@ def test_oversized_perm_degree_exits_1(tmp_path, src_env, degree):
     assert proc.stdout == b""
     assert proc.stderr.decode() == (f"error: permutation degree {degree} "
                                     f"exceeds the limit {MAX_PERM_DEGREE}\n")
+
+
+@pytest.mark.parametrize("dim", [MAX_MAT_DIM + 1, 10 ** 18])
+def test_oversized_mat_dim_exits_1(tmp_path, src_env, dim):
+    path = tmp_path / "big.grp"
+    path.write_text(f"mat 2 1 {dim}\n1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "endotriv.cli", "analyze", "--group", str(path)],
+        capture_output=True, env=src_env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (f"error: matrix dimension {dim} "
+                                    f"exceeds the limit {MAX_MAT_DIM}\n")
 
 
 @given(prime=st.one_of(st.none(), st.sampled_from([2, 3]), st.integers(-3, 40)),

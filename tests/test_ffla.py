@@ -461,6 +461,21 @@ def test_gauss_on_identity_and_zero(f):
     assert rz.rank == 0 and rz.kernel.a.shape[0] == 4
 
 
+@pytest.mark.parametrize("pe", [(2, 2), (3, 1), (2, 8), (2, 16)],
+                         ids=lambda pe: f"gf{pe[0]}^{pe[1]}")
+def test_fmatrix_rejects_codes_out_of_range_before_the_cast(pe):
+    """Codes q and above, among them 257 and 65536, and -1 would wrap in the
+    uint8 or uint16 field dtype; every one is refused, and q - 1 and 0 are
+    kept."""
+    f = field_make(*pe)
+    for bad in sorted({f.q, 65536, -1} | ({257} if f.q <= 257 else set())):
+        for dtype in (np.int64, object):
+            with pytest.raises(ValueError, match="out of field range"):
+                FMatrix(f, np.array([[bad, 1]], dtype=dtype))
+    for good in (np.array([[f.q - 1, 0]]), np.array([[f.q - 1, 0]], f.dtype)):
+        assert FMatrix(f, good).a.tolist() == [[f.q - 1, 0]]
+
+
 def test_inverse_roundtrip(f):
     q = f.p ** f.e
     rng = np.random.default_rng(5)

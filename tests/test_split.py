@@ -601,17 +601,62 @@ def test_hecke_corners_match_definitions(a5setup, seed):
             unit_k[k] = 1
             rows.append(_oracle_mul(h, _oracle_mul(h, e, unit_k), e))
         red = gauss(FMatrix(f, np.array(rows, dtype=np.int64)))
-        basis = h._corner_basis(e)
+        basis, sdim = h._corner(e)
         assert basis.tolist() == red.rref.a[: red.rank].tolist()
-        # corner regular representation: column j of reg[i] holds the
-        # coordinates of b_i b_j in the corner basis
-        reg = h._corner_regular(basis)
+        # the corner's semisimple dimension from e J(A) e equals the one of
+        # the radical of the corner's own regular representation
+        reg = _corner_regular_reference(h, basis)
         m = basis.shape[0]
         for i in range(m):
             for j in range(m):
                 back = f.matmul(reg[i][:, j][None, :].astype(f.dtype),
                                 basis.astype(f.dtype))[0]
                 assert back.tolist() == _oracle_mul(h, basis[i], basis[j])
+        assert sdim == m - algebra_radical(f, reg).a.shape[0]
+
+
+def _corner_regular_reference(h, basis):
+    """Left-regular matrices of the corner on its basis: column j of reg[i]
+    holds the coordinates of b_i b_j, from one solve against the basis."""
+    f = h.f
+    m, n = basis.shape
+    prods = np.array([h.mul(basis[i], basis[j]) for i in range(m)
+                      for j in range(m)], dtype=np.int64).T
+    sol = solve_right(FMatrix(f, basis).T, FMatrix(f, prods))
+    assert sol is not None
+    return [np.ascontiguousarray(sol.a[:, i * m:(i + 1) * m])
+            for i in range(m)]
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A6"])
+def test_one_radical_per_hecke_algebra(name):
+    """Every corner reads its radical off J(A): one algebra_radical call per
+    Hecke algebra, however many corners are split."""
+    G = build_group(name)[0]
+    f = field_make(2, 2)
+    ctx = InducedContext(G, G.normalizer(G.sylow(2)))
+    chars = character_group(ctx.ntable, ctx.ntable.abelianization_pprime(2), f)
+    radicals, corners = [], []
+    real_corner = HeckeEnd._corner
+
+    def spy_radical(*args):
+        radicals.append(len(args[1]))
+        return algebra_radical(*args)
+
+    def spy_corner(self, e):
+        out = real_corner(self, e)
+        corners.append(out[0].shape[0])
+        return out
+
+    with mock.patch.object(split, "algebra_radical", spy_radical), \
+            mock.patch.object(HeckeEnd, "_corner", spy_corner):
+        for lam in chars:
+            h = HeckeEnd(ctx, lam)
+            radicals.clear()
+            h.primitive_idempotents(random.Random(0))
+            assert radicals == [h.dim_alg]
+    if name != "A5":
+        assert sum(m > 1 for m in corners) >= 3
 
 
 def test_primitive_idempotents(a5setup):
@@ -821,6 +866,56 @@ def test_spin_matches_incremental_reference(pe, n, ngens, seed):
             got.a.shape[0]
 
 
+# -- Krylov minimal polynomial against the per-degree solve -------------------
+
+def _krylov_reference(f, z, v):
+    """Append z^k v until it lies in the span of the earlier vectors, with one
+    solve per degree; the solution gives the lower coefficients."""
+    rows, cur = [], v.astype(np.int64)
+    while True:
+        if rows:
+            sol = solve_right(FMatrix(f, np.stack(rows)).T,
+                              FMatrix(f, cur[None, :]).T)
+        else:
+            sol = None if cur.any() else FMatrix(f, np.zeros((0, 1)))
+        if sol is not None:
+            poly = np.ones(len(rows) + 1, dtype=np.int64)
+            poly[: len(rows)] = f.neg_vec(sol.a[:, 0])
+            return poly, np.array(rows, dtype=np.int64).reshape(-1, len(v))
+        rows.append(cur)
+        cur = f.matmul(z.a, cur.astype(f.dtype)[:, None])[:, 0].astype(np.int64)
+
+
+@given(field=st.sampled_from([(2, 1), (2, 2), (3, 1), (5, 2)]),
+       n=st.integers(1, 6),
+       z_kind=st.sampled_from(["random", "zero", "nilpotent", "permutation"]),
+       v_kind=st.sampled_from(["random", "zero", "unit"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_krylov_matches_per_degree_solve(field, n, z_kind, v_kind, seed):
+    f = field_make(*field)
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, f.q, size=(n, n))
+    if z_kind == "zero":
+        z[:] = 0
+    elif z_kind == "nilpotent":
+        z = np.triu(z, 1)
+    elif z_kind == "permutation":
+        z = np.eye(n, dtype=np.int64)[rng.permutation(n)]
+    v = rng.integers(0, f.q, size=n)
+    if v_kind == "zero":
+        v[:] = 0
+    elif v_kind == "unit":
+        v = np.eye(n, dtype=np.int64)[rng.integers(n)]
+    z = FMatrix(f, z)
+    poly, rows = split._krylov(f, z, v)
+    want_poly, want_rows = _krylov_reference(f, z, v)
+    assert poly.tolist() == want_poly.tolist()
+    assert rows.tolist() == want_rows.tolist()
+    if not v.any():
+        assert poly.tolist() == [1] and rows.shape == (0, n)
+
+
 # -- irreducibility against the exhaustive reference --------------------------
 
 def _projective_combos(f, rows):
@@ -855,7 +950,7 @@ def is_irreducible_reference(f, mats, rng):
         v = np.array([rng.randrange(f.q) for _ in range(n)], dtype=np.int64)
         if z.is_zero() or not v.any():
             continue
-        fac = factor_poly(f, split._krylov_minpoly(f, z, v), rng)
+        fac = factor_poly(f, split._krylov(f, z, v)[0], rng)
         if len(fac) == 1 and fac[0][1] == 1 and pdeg(fac[0][0]) == n:
             return True
         w = split._mat_poly(f, fac[0][0], z)
@@ -1010,9 +1105,9 @@ def test_at_most_two_spins_per_algebra_element(k_report):
     assert spins_per_z and max(spins_per_z) <= 2
 
 
-# -- one stacked solve per summand against one solve per generator ------------
+# -- summand action from the idempotent's RREF against one solve per generator
 
-@pytest.mark.parametrize("name", ["A5", "3A6"])
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "3A6"])
 def test_summand_action_matches_per_generator_solves(k_report, name):
     res = k_report(name)
     ctx = res.ctx
