@@ -4,13 +4,16 @@ reports.
     python3 scripts/compare_reports.py OLD_TREE NEW_TREE
 
 Each tree is a checkout of this repository, run with its ``src`` first on
-PYTHONPATH.  Every catalog group that NEW_TREE lists is analyzed with
-``--check-theorem`` at seeds 0, 1 and 2, and at seed 0 with
-``--tensor-power 2`` and ``--tensor-power 3``, once per tree, one process
-at a time.  The report, the error output and the exit code of each run
-must agree.  At the first difference the script prints the group, the
-arguments and the first differing line of each tree, and exits 1; when
-every run agrees it prints the number of runs and exits 0.
+PYTHONPATH.  Every catalog group that NEW_TREE lists is analyzed at p = 2
+with ``--check-theorem`` at seeds 0, 1 and 2, and at seed 0 with
+``--tensor-power 2`` and ``--tensor-power 3``.  The groups of ODD_PRIMES
+are analyzed at their odd primes at seeds 0 and 1, and at seed 0 with both
+tensor powers, without ``--check-theorem``, whose expectations are p = 2
+facts.  Each run is made once per tree, one process at a time.  The
+report, the error output and the exit code of each run must agree.  At the
+first difference the script prints the group, the arguments and the first
+differing line of each tree, and exits 1; when every run agrees it prints
+the number of runs and exits 0.
 """
 import json
 import os
@@ -20,6 +23,9 @@ from pathlib import Path
 
 SEEDS = (0, 1, 2)
 TENSOR_POWERS = (2, 3)
+ODD_PRIMES = (("A4", 3), ("A5", 3), ("A6", 3), ("PSL(2,11)", 3), ("3A6", 3),
+              ("A5", 5), ("PSL(2,11)", 5), ("PSL(2,7)", 7))
+ODD_SEEDS = (0, 1)
 
 
 def endotriv(tree: Path, args: list[str]) -> subprocess.CompletedProcess:
@@ -36,6 +42,11 @@ def cases(groups: list[str]) -> list[list[str]]:
     for group in groups:
         base = ["analyze", "--group", group, "--check-theorem"]
         out += [base + ["--seed", str(s)] for s in SEEDS]
+        out += [base + ["--seed", "0", "--tensor-power", str(m)]
+                for m in TENSOR_POWERS]
+    for group, p in ODD_PRIMES:
+        base = ["analyze", "--group", group, "--prime", str(p)]
+        out += [base + ["--seed", str(s)] for s in ODD_SEEDS]
         out += [base + ["--seed", "0", "--tensor-power", str(m)]
                 for m in TENSOR_POWERS]
     return out

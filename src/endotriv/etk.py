@@ -338,18 +338,19 @@ def green_correspondent(ctx: InducedContext, lam: LinearCharacter,
 
 
 def bq_character(rep: ModuleRep, P: Sequence[int], p: int,
-                 ctx: InducedContext, chars: Sequence[LinearCharacter]
+                 ctx: InducedContext,
+                 by_values: dict[tuple[int, ...], LinearCharacter]
                  ) -> LinearCharacter:
-    """Which p'-character of N acts on the 1-dim Brauer quotient at P."""
+    """Which p'-character of N acts on the 1-dim Brauer quotient at P, from
+    N's characters keyed by their values on N's generators (compute_K)."""
     bq = brauer_quotient(rep, P, p)
     if bq.dim != 1:
         raise RuntimeError(f"Brauer quotient at P has dim {bq.dim}, expected 1")
-    nt = ctx.ntable
-    acts = bq.action_scalars(nt.gens)
-    for mu in chars:
-        if all(mu.value(nt.gen_idx[k]) == a for k, a in enumerate(acts)):
-            return mu
-    raise RuntimeError(f"Brauer action scalars {acts} match no character")
+    acts = tuple(bq.action_scalars(ctx.ntable.gens))
+    if acts not in by_values:
+        raise RuntimeError(f"Brauer action scalars {list(acts)} match no "
+                           f"character")
+    return by_values[acts]
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +397,7 @@ class KReport:
     table: GroupTable = dfield(repr=False, default=None)
     ctx: InducedContext = dfield(repr=False, default=None)
     chars: list = dfield(repr=False, default=None)
+    char_by_values: dict = dfield(repr=False, default=None)
     sylow: list = dfield(repr=False, default=None)
 
 
@@ -416,6 +418,10 @@ def compute_K(table: GroupTable, p: int, f: FieldTable, seed: int = 0
     ctx = InducedContext(table, N)
     ab = ctx.ntable.abelianization_pprime(p)
     chars = character_group(ctx.ntable, ab, f)
+    # N's characters keyed by their values on N's generators, which
+    # determine them
+    by_values = {tuple(mu.value(gi) for gi in ctx.ntable.gen_idx): mu
+                 for mu in chars}
     sc = SylowClasses(table, P)
     cyc = sc.cyclic_nontrivial()
     cyc_orders = tuple(len(sc.classes[i]) for i in cyc)
@@ -427,7 +433,7 @@ def compute_K(table: GroupTable, p: int, f: FieldTable, seed: int = 0
         green, summands = green_correspondent(ctx, lam, P, p, rng)
         et_char, vec = is_endotrivial_char(green.rep, sc, p)
         et_direct = is_endotrivial_direct(green.rep, sc, p)
-        mu = bq_character(green.rep, P, p, ctx, chars)
+        mu = bq_character(green.rep, P, p, ctx, by_values)
         rng2 = random.Random(f"{seed}:chop:{tag}")
         facs = tuple(composition_factor_dims(f, green.rep.gen_mats, rng2))
         simple = len(facs) == 1
@@ -445,14 +451,8 @@ def compute_K(table: GroupTable, p: int, f: FieldTable, seed: int = 0
     # image of the ambient character group X(G) inside X(N)
     gchars = x_group(table, p, f)
     x_image = []
-    nt = ctx.ntable
     for sigma in gchars:
-        match = None
-        for mu in chars:
-            if all(mu.value(nt.gen_idx[k]) == sigma.value(gi)
-                   for k, gi in enumerate(nt.gens)):
-                match = mu
-                break
+        match = by_values.get(tuple(sigma.value(gi) for gi in ctx.ntable.gens))
         if match is None:
             raise RuntimeError("restriction of a G-character not found in X(N)")
         x_image.append(match.exps)
@@ -484,7 +484,8 @@ def compute_K(table: GroupTable, p: int, f: FieldTable, seed: int = 0
         tt_over_x=ttx,
         theorem_applies=sylow_type in ("klein_four", "dihedral"),
         checks=checks,
-        table=table, ctx=ctx, chars=chars, sylow=P)
+        table=table, ctx=ctx, chars=chars, char_by_values=by_values,
+        sylow=P)
 
 
 def tensor_power_class(res: KReport, exps: tuple[int, ...], m: int,
@@ -520,10 +521,8 @@ def tensor_power_class(res: KReport, exps: tuple[int, ...], m: int,
         out["literal_agrees"] = False
         out["verdict"] = "not_one_dimensional_plus_projective"
         return out
-    acts = bq.action_scalars(nt.gen_idx)
-    lam_m = next(c for c in res.chars if c.exps == predicted)
-    want = [lam_m.value(gi) for gi in nt.gen_idx]
-    out["literal_agrees"] = acts == want
+    mu = res.char_by_values.get(tuple(bq.action_scalars(nt.gen_idx)))
+    out["literal_agrees"] = mu is not None and mu.exps == predicted
     return out
 
 

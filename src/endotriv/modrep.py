@@ -16,31 +16,31 @@ double-coset combinatorics taken from the orbit labeller of G and cached per
 
 Brauer quotients share one walk down the p-subgroup lattice per module: the
 fixed space of a p-subgroup Q is the part of the fixed space of its first
-maximal subgroup M fixed by one element g of Q outside M.  Each module
+maximal subgroup M fixed by g, the least element of Q outside M.  Each module
 memoizes these fixed spaces by subgroup (as a set of table indices) for as
-long as it lives, so the quotients at every subgroup class of P, and the
-traces from their maximal subgroups, solve one small system per subgroup in
-all.  The walk runs in coordinates of the fixed spaces: a fixed basis is a
-product of gauss kernels, each the identity at its free columns, so it is
-the identity at columns cols(Q) memoized beside it, and a vector of fixed(Q)
-has its entries at cols(Q) as coordinates.  M is normal in Q, so R(g) keeps
-fixed(M), and of the walk's block (R(g) - 1) fixed(M)^T only the rows at
-cols(M) are formed, a dim fixed(M) square with the same kernel; the traces
-are eliminated on their entries at cols(Q).  For p = 2 the walk's block is,
-transposed, the trace image of fixed(M) in Q, since the transversal of M is
-{1, g} and 1 + R(g) = R(g) - 1; it is kept and reused.
+long as it lives.  The walk runs in coordinates of the fixed spaces: a fixed
+basis is a product of gauss kernels, each the identity at its free columns,
+so it is the identity at columns cols(Q) memoized beside it, and a vector of
+fixed(Q) has its entries at cols(Q) as coordinates.  M is normal in Q, so
+R(g) keeps fixed(M), and of the walk's block (R(g) - 1) fixed(M)^T only the
+rows at cols(M) are formed: B, the matrix of R(g) - 1 on fixed(M) in its
+coordinates.  [Q : M] = p, so the relative trace from M to Q is
+sum_{k<p} R(g)^k, which is (R(g) - 1)^(p-1) in characteristic p: the trace
+image of fixed(M) is (B^(p-1))[free]^T in coordinates of fixed(Q), memoized
+with it.  Every other maximal subgroup M' of Q, with g' the least element
+outside it, contributes fixed(M') ((R(g') - 1)^(p-1))[cols(Q)]^T, and the
+traces are eliminated on their entries at cols(Q).
 """
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ffla import FieldTable, FMatrix, gauss, kron, solve_right
+from .ffla import FieldTable, FMatrix, gauss, kron
 from .grp import AbelianPPrime, GroupTable, SubgroupOps
 
 __all__ = [
@@ -141,12 +141,12 @@ class ModuleRep:
         for m in [ident, *self.gen_mats]:
             m.a.flags.writeable = False
         self._memo: dict[int, FMatrix] = {0: ident}
-        # fixed rows of nontrivial p-subgroups and the columns at which they
-        # are the identity, keyed by table indices (_fixed)
-        self._fixed: dict[frozenset[int], tuple[FMatrix, np.ndarray]] = {}
-        # p = 2: trace image of fixed(M) for M the walk's maximal subgroup,
-        # in coordinates of the subgroup's fixed rows (_fixed)
-        self._walk_trace: dict[frozenset[int], np.ndarray] = {}
+        # fixed rows of nontrivial p-subgroups, the columns at which they are
+        # the identity, and the trace image of fixed(M) for M the walk's
+        # maximal subgroup in their coordinates, keyed by table indices
+        # (_fixed)
+        self._fixed: dict[frozenset[int],
+                          tuple[FMatrix, np.ndarray, np.ndarray]] = {}
 
     def at(self, i: int) -> FMatrix:
         """Matrix of element i, memoized and read-only.  A generator's is its
@@ -375,67 +375,70 @@ def fixed_point_rows(rep: ModuleRep, gen_indices: Optional[Sequence[int]] = None
     return coords if within is None else FMatrix(f, f.matmul(coords.a, within.a))
 
 
+def _trace_rows(f: FieldTable, a: np.ndarray, rows: np.ndarray, p: int
+                ) -> np.ndarray:
+    """Rows ``rows`` of a^(p - 1) for a square code array a, as
+    a[rows] a^(p - 2).  For a = x - 1 over a field of characteristic p this
+    is sum_{k<p} x^k, since (t - 1)^(p - 1) = (t^p - 1) / (t - 1) there."""
+    out = a[rows]
+    for _ in range(p - 2):
+        out = f.matmul(out, a)
+    return out
+
+
 @dataclass
 class BrauerQuotient:
-    """Fixed rows, the relative-trace image in their coordinates, and the
-    quotient dimension.
+    """Fixed rows, the columns at which they are the identity, the
+    relative-trace image in their coordinates, and the quotient dimension.
 
-    A row c of ``coords`` stands for the vector c fixed; the rows span the
-    trace image.  ``image`` is that span as independent rows of the
-    module's space, formed on first use.
+    A row c of ``coords`` stands for the vector c fixed, whose entries at
+    ``cols`` are c; the rows span the trace image.
     """
     rep: ModuleRep
     subgroup: tuple[int, ...]
     fixed: FMatrix
+    cols: np.ndarray
     coords: FMatrix
     dim: int
 
-    @cached_property
-    def image(self) -> FMatrix:
-        f = self.rep.field
-        red = gauss(self.coords)
-        return FMatrix(f, f.matmul(red.rref.a[: red.rank], self.fixed.a))
-
     def action_scalars(self, gs: Sequence[int]) -> list[int]:
         """Scalar action of each element of gs (each must normalize the
-        subgroup) on a 1-dimensional quotient, from one solve against all
-        their images of one base row."""
+        subgroup) on a 1-dimensional quotient.
+
+        The trace image is the kernel of one functional lam on coordinates,
+        the kernel row of ``coords``.  The base is the first fixed row j
+        with lam_j != 0, outside the image, and g acts on the quotient by
+        lam((g base)[cols]) / lam_j.
+        """
         if self.dim != 1:
             raise ValueError(f"action scalar needs a 1-dimensional Brauer quotient, "
                              f"not dimension {self.dim}")
         f = self.rep.field
-        img = self.image.a
-        k = img.shape[0]
-        # the image rows are independent, so on the columns [image | fixed]
-        # the first pivot past them is the first fixed row outside the image
-        pivots = gauss(FMatrix(f, np.vstack([img, self.fixed.a])).T).pivots
-        outside = [c for c in pivots if c >= k]
-        if not outside:
-            raise RuntimeError("Brauer quotient of dimension 1 has no fixed row "
-                               "outside the trace image")
-        base = self.fixed.a[outside[0] - k]
+        lam = gauss(self.coords).kernel.a[0]
+        j = int(np.flatnonzero(lam)[0])
+        base = self.fixed.a[j]
         w = np.zeros((self.rep.dim, len(gs)), dtype=f.dtype)
-        for j, g in enumerate(gs):
-            w[:, j] = f.matmul(self.rep.at(g).a, base[:, None])[:, 0]
-        basis = FMatrix(f, np.vstack([img, base[None, :]])).T
-        sol = solve_right(basis, FMatrix(f, w))
-        if sol is None:
+        for k, g in enumerate(gs):
+            w[:, k] = f.matmul(self.rep.at(g).a, base[:, None])[:, 0]
+        c = w[self.cols]
+        if not np.array_equal(f.matmul(np.ascontiguousarray(c.T), self.fixed.a),
+                              w.T):
             raise RuntimeError(f"the elements {list(gs)} do not all act on the "
                                "Brauer quotient; they must normalize the subgroup")
-        return sol.a[-1].tolist()
+        vals = f.matmul(lam[None, :], c)[0]
+        return f.mul_vec(vals, np.int64(f.inv(int(lam[j])))).tolist()
 
 
 _MAXIMAL: "weakref.WeakKeyDictionary[GroupTable, dict]" = weakref.WeakKeyDictionary()
 
 
 def _maximal_subgroups(table: GroupTable, indices: Iterable[int], p: int
-                       ) -> list[tuple[frozenset[int], list[int]]]:
-    """Maximal subgroups (index p) of a p-subgroup given by ambient indices,
-    each with a right transversal in the subgroup, found on the subgroup's
-    own table and memoized per table.
+                       ) -> list[tuple[frozenset[int], int]]:
+    """Maximal subgroups M (index p) of a p-subgroup Q given by ambient
+    indices, each with g, the least ambient index in Q outside M, found on
+    the subgroup's own table and memoized per table.  [Q : M] = p is prime,
+    so M and g generate Q.
 
-    The right cosets M x are the orbits of left multiplication by M; each is
-    represented by its least ambient index, and the transversal ascends.
     Raises ValueError when the indices are not closed under the table's
     product or their number is not a power of p.
     """
@@ -452,101 +455,82 @@ def _maximal_subgroups(table: GroupTable, indices: Iterable[int], p: int
             raise ValueError(f"a subgroup of order {len(key[0])} is not a "
                              f"{p}-subgroup")
         sub = subgroup_table(table, key[0])
-        amb = sub.elements
         out = []
         for s in sub.subgroups(range(sub.order)):
-            if len(s) * p != sub.order:
-                continue
-            lab = sub.orbits([sub.left(j) for j in sub.small_gens(s)])
-            least: dict[int, int] = {}
-            for x, c in zip(amb, lab.tolist()):
-                least[c] = min(least.get(c, x), x)
-            out.append((frozenset(amb[j] for j in s), sorted(least.values())))
-        memo[key] = sorted(out, key=lambda mt: sorted(mt[0]))
+            if len(s) * p == sub.order:
+                mx = frozenset(sub.elements[j] for j in s)
+                out.append((mx, int(next(x for x in key[0] if x not in mx))))
+        memo[key] = sorted(out, key=lambda mg: sorted(mg[0]))
     return memo[key]
 
 
 def _fixed(rep: ModuleRep, sub: frozenset[int], p: int
-           ) -> Optional[tuple[FMatrix, np.ndarray]]:
-    """Fixed rows of a p-subgroup and the columns at which they are the
-    identity, by the walk down its first maximal subgroups, memoized on the
-    module; None for the trivial subgroup, which fixes the whole space and
-    is not stored."""
+           ) -> Optional[tuple[FMatrix, np.ndarray, np.ndarray]]:
+    """Fixed rows of a p-subgroup, the columns at which they are the
+    identity, and the trace image of fixed(M) in their coordinates, for M
+    the first maximal subgroup, by the walk down first maximal subgroups,
+    memoized on the module; None for the trivial subgroup, which fixes the
+    whole space and is not stored."""
     if len(sub) == 1:
         return None
     if sub not in rep._fixed:
-        mx, trans = _maximal_subgroups(rep.table, sub, p)[0]
-        # [sub : mx] = p is prime, so one element outside mx generates sub over it
-        g = next(x for x in trans if x not in mx)
+        mx, g = _maximal_subgroups(rep.table, sub, p)[0]
         below = _fixed(rep, mx, p)
-        within, cols = below if below is not None else (None, np.arange(rep.dim))
+        within, cols = (None, np.arange(rep.dim)) if below is None else below[:2]
         record: list = []
         rows = fixed_point_rows(rep, [g], within, cols, record)
         block, free = record[0]
-        # rows = c fixed(mx) for a kernel c, the identity at its free columns
-        rep._fixed[sub] = (rows, cols[free])
-        if p == 2 and rep.field.p == 2:
-            # trans = {1, g} and 1 + rep(g) = rep(g) - 1 in characteristic 2,
-            # so the block's columns are the traces of the rows of fixed(mx);
-            # their coordinates in fixed(sub) are their entries at its columns
-            rep._walk_trace[sub] = np.ascontiguousarray(block[free].T)
+        # rows = c fixed(mx) for a kernel c, the identity at its free columns.
+        # block is rep(g) - 1 on fixed(mx) in its coordinates, so column i of
+        # block^(p-1) is the trace of row i of fixed(mx); that lies in
+        # fixed(sub), whose coordinates are its entries at the free columns
+        trace = _trace_rows(rep.field, block, free, p)
+        rep._fixed[sub] = (rows, cols[free], np.ascontiguousarray(trace.T))
     return rep._fixed[sub]
 
 
 def brauer_quotient(rep: ModuleRep, sub_indices: Iterable[int], p: int
                     ) -> BrauerQuotient:
-    """Brauer construction at a p-subgroup of rep.table: fixed points modulo
-    the sum of relative traces from maximal subgroups.
+    """Brauer construction at a p-subgroup Q of rep.table: fixed points
+    modulo the sum of relative traces from the maximal subgroups M of Q.
 
-    Fixed spaces come from one walk down the subgroup lattice memoized on
-    the module for as long as it lives: the fixed space of Q is that of its
-    first maximal subgroup M cut by one element outside M, so a subgroup
-    met again, in any index order, costs nothing, and a new one costs an
-    elimination of dim fixed(M) square.  Traces are eliminated in
-    coordinates of fixed(Q), the entries at the columns where it is the
-    identity.  The trace image of fixed(M) for that first M is, for p = 2,
-    the transposed block of the walk (``_fixed``); every other maximal
-    subgroup, and every one for odd p, sums the rows of rep(q) at those
-    columns over its transversal.  A cyclic Q at p = 2 has M alone, and
-    its walk block has rank dim fixed(M) - dim fixed(Q), so its quotient
-    has dimension 2 dim fixed(Q) - dim fixed(M) with no elimination.
-    Raises ValueError unless the indices form a p-subgroup.
+    The trace from M is (rep(g) - 1)^(p-1) for g the least element of Q
+    outside M (see the module docstring).  The fixed spaces, and the trace
+    image from the walk's M, come from the walk memoized on the module, so
+    a subgroup met again, in any index order, costs nothing; the traces are
+    eliminated in coordinates of fixed(Q).  A cyclic Q at p = 2 has M
+    alone, and its trace rows have rank dim fixed(M) - dim fixed(Q), so its
+    quotient has dimension 2 dim fixed(Q) - dim fixed(M) with no
+    elimination.  Raises ValueError unless p is the field's characteristic
+    and the indices form a p-subgroup.
     """
-    table = rep.table
     f = rep.field
+    if p != f.p:
+        raise ValueError(f"Brauer quotient at p = {p} of a module in "
+                         f"characteristic {f.p}")
     sub = frozenset(sub_indices)
     subgroup = tuple(sorted(sub))
-    maximal = _maximal_subgroups(table, sub, p)
+    maximal = _maximal_subgroups(rep.table, sub, p)
     fs = _fixed(rep, sub, p)
     if fs is None:
-        fixed, cols = FMatrix.identity(f, rep.dim), np.arange(rep.dim)
-    else:
-        fixed, cols = fs
-    walk = rep._walk_trace.get(sub)
-    if walk is not None and len(maximal) == 1:
-        return BrauerQuotient(rep, subgroup, fixed, FMatrix(f, walk),
+        # the trivial subgroup has no maximal subgroups and no traces
+        return BrauerQuotient(rep, subgroup, FMatrix.identity(f, rep.dim),
+                              np.arange(rep.dim),
+                              FMatrix(f, np.zeros((0, rep.dim), dtype=f.dtype)),
+                              rep.dim)
+    fixed, cols, walk = fs
+    if p == 2 and len(maximal) == 1:
+        return BrauerQuotient(rep, subgroup, fixed, cols, FMatrix(f, walk),
                               2 * len(cols) - walk.shape[0])
-    blocks = []
-    for k, (mx, reps) in enumerate(maximal):
-        fr = _fixed(rep, mx, p)
-        if fr is not None and fr[0].a.shape[0] == 0:
-            continue
-        if k == 0 and walk is not None:
-            blocks.append(walk)
-            continue
-        acc = np.zeros((len(cols), rep.dim), dtype=f.dtype)
-        for q in reps:
-            acc = f.add_vec(acc, rep.at(q).a[cols])
-        # rows of fr are fixed vectors v of mx; traces are (sum_q rep(q)) v,
-        # so when mx = 1 fixes every vector they are the rows of acc^T
-        acc_t = np.ascontiguousarray(acc.T)
-        blocks.append(acc_t if fr is None else f.matmul(fr[0].a, acc_t))
-    if blocks:
-        reduced = gauss(FMatrix(f, np.vstack(blocks)))
-        coords = np.ascontiguousarray(reduced.rref.a[: reduced.rank])
-    else:
-        coords = np.zeros((0, len(cols)), dtype=f.dtype)
-    return BrauerQuotient(rep, subgroup, fixed, FMatrix(f, coords),
+    blocks = [walk]
+    # a second maximal subgroup needs |Q| >= p^2, so none of these is trivial
+    for mx, g in maximal[1:]:
+        t = _trace_rows(f, _minus_one(f, rep.at(g).a), cols, p)
+        blocks.append(f.matmul(_fixed(rep, mx, p)[0].a,
+                               np.ascontiguousarray(t.T)))
+    reduced = gauss(FMatrix(f, np.vstack(blocks)))
+    coords = np.ascontiguousarray(reduced.rref.a[: reduced.rank])
+    return BrauerQuotient(rep, subgroup, fixed, cols, FMatrix(f, coords),
                           len(cols) - len(coords))
 
 

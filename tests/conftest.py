@@ -16,8 +16,8 @@ def src_env():
 
 @pytest.fixture(scope="session")
 def k_report():
-    """compute_K of a catalog group at p = 2 over its automatic field with
-    seed 0, run once per group per session."""
+    """compute_K of a catalog group at p (default 2) over its automatic
+    field with seed 0, run once per group and prime per session."""
     from endotriv.catalog import build_group
     from endotriv.cli import choose_field_degree
     from endotriv.etk import compute_K
@@ -25,10 +25,10 @@ def k_report():
 
     cache = {}
 
-    def get(name):
-        if name not in cache:
+    def get(name, p=2):
+        if (name, p) not in cache:
             table = build_group(name)[0]
-            f = field_make(2, choose_field_degree(table, 2))
-            cache[name] = compute_K(table, 2, f, seed=0)
-        return cache[name]
+            f = field_make(p, choose_field_degree(table, p))
+            cache[name, p] = compute_K(table, p, f, seed=0)
+        return cache[name, p]
     return get

@@ -4,12 +4,14 @@ Abelian invariants against hand-built groups, the transitive-summand solver
 and endomorphism expansion against literal module computations, and the full
 classification of two alternating groups against known answers.
 """
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from endotriv.etk import (SylowClasses, compute_K, endomorphism_type,
+from endotriv.etk import (SylowClasses, bq_character, compute_K,
+                          endomorphism_type,
                           green_correspondent, is_endotrivial_char,
                           is_endotrivial_direct, minimal_field_degree,
                           permutation_type, quotient_invariants,
@@ -341,6 +343,29 @@ def test_tensor_power_class_a4(a4_report):
     assert sq["predicted_exps"] == [2]
     assert sq["in_x_image"]
     assert sq["verdict"] == "one_dimensional_plus_projective"
+
+
+def test_character_lookup_reads_brauer_actions(a4_report):
+    """compute_K keys N's characters by their values on N's generators.  A
+    Brauer action that matches no key is refused, and a tensor power whose
+    action reads as another character than the predicted one disagrees."""
+    res = a4_report
+    nt = res.ctx.ntable
+    assert res.char_by_values == {
+        tuple(c.value(gi) for gi in nt.gen_idx): c for c in res.chars}
+    rec = next(r for r in res.records if any(r.exps))
+    lookup = res.char_by_values
+    assert bq_character(rec.rep, res.sylow, 2, res.ctx, lookup).exps == rec.exps
+    others = {k: c for k, c in lookup.items() if c.exps != rec.exps}
+    with pytest.raises(RuntimeError, match="match no character"):
+        bq_character(rec.rep, res.sylow, 2, res.ctx, others)
+    keys, chars = list(lookup), list(lookup.values())
+    rotated = dataclasses.replace(
+        res, char_by_values=dict(zip(keys, chars[1:] + chars[:1])))
+    for m in (2, 3):
+        assert tensor_power_class(res, rec.exps, m)["literal_agrees"]
+        out = tensor_power_class(rotated, rec.exps, m)
+        assert out["literal_checked"] and out["literal_agrees"] is False
 
 
 def test_tensor_power_class_a5(a5_report):

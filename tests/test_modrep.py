@@ -4,7 +4,6 @@ against the subgroup fixed-point count, an independent combinatorial value.
 """
 import itertools
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,7 +61,8 @@ def test_character_group_structure(a5ctx):
     chars = character_group(ctx.ntable, ab, f)
     assert len(chars) == 3
     assert [c.order for c in chars] == [1, 3, 3]
-    assert chars[0].is_trivial
+    assert chars[0].is_trivial()
+    assert not any(c.is_trivial() for c in chars[1:])
     # values are cube roots of unity and multiply like the exponents
     nt = ctx.ntable
     for c in chars:
@@ -247,27 +247,29 @@ def test_maximal_subgroups_brute(gens):
     assert len(half) == 3
     found = _maximal_subgroups(G, range(G.order), 2)
     assert [mx for mx, _ in found] == sorted(half, key=sorted)
-    for mx, reps in found:
-        # the least index of each right coset M x, ascending
-        cosets = {frozenset(G.mul(m, x) for m in mx) for x in range(G.order)}
-        assert reps == sorted(min(c) for c in cosets)
+    for mx, g in found:
+        assert g == min(set(range(G.order)) - mx)
+        assert G.closure([*mx, g]) == frozenset(range(G.order))
 
 
 @pytest.mark.parametrize("name,p", [("S4", 2), ("PGL(2,7)", 2), ("3A6", 2),
                                     ("A6", 3), ("PSL(2,11)", 5)])
 def test_maximal_subgroup_transversals_at_sylow(name, p):
     """On a Sylow subgroup, whose ambient indices are scattered, each
-    transversal is the least ambient index of every right coset M x.  For
-    p = 2 that is also the least index on the subgroup's own table; for odd
-    p it need not be."""
+    maximal subgroup M comes with g, the least ambient index outside it: M
+    and g generate P, and the powers g^k, k < p, the transversal the trace
+    sums over, meet every right coset M x once."""
     G = catalog.build_group(name)[0]
     P = G.sylow(p)
     found = _maximal_subgroups(G, P, p)
     assert [mx for mx, _ in found] == sorted(
         (s for s in G.subgroups(P) if len(s) * p == len(P)), key=sorted)
-    for mx, reps in found:
-        cosets = {frozenset(G.mul(m, x) for m in mx) for x in P}
-        assert reps == sorted(min(c) for c in cosets)
+    for mx, g in found:
+        assert g == min(x for x in P if x not in mx)
+        assert G.closure([*mx, g]) == frozenset(P)
+        cosets = {frozenset(G.mul(m, G.power(g, k)) for m in mx)
+                  for k in range(p)}
+        assert len(cosets) == p
 
 
 def test_brauer_quotient_permutation_oracle():
@@ -319,20 +321,23 @@ def test_brauer_quotient_random_corpus():
 
 
 def reference_brauer_quotient(rep, sub_indices, p):
-    """The per-subgroup Brauer construction the walk replaced: the fixed
-    space of Q and of each maximal subgroup solved afresh from the stacked
-    blocks rep(g) - 1 over a small generating set.  Returns (dim, fixed,
-    image)."""
+    """The Brauer construction by definition, per subgroup: the fixed space
+    of Q and of each index-p subgroup M (from ``table.subgroups``) solved
+    afresh from the stacked blocks rep(g) - 1 over a small generating set,
+    and the trace from M summed over the least element of each right coset
+    M x (from ``table.mul``).  Returns (dim, fixed, image)."""
     table, f = rep.table, rep.field
     sub = sorted(sub_indices)
     fixed = fixed_point_rows(rep, table.small_gens(sub))
     image = FMatrix(f, np.zeros((0, rep.dim), dtype=f.dtype))
     if len(sub) > 1:
         rows = []
-        for mx, reps in _maximal_subgroups(table, sub, p):
+        for mx in table.subgroups(sub):
+            if len(mx) * p != len(sub):
+                continue
             fr = fixed_point_rows(rep, table.small_gens(mx))
             acc = np.zeros((rep.dim, rep.dim), dtype=f.dtype)
-            for q in reps:
+            for q in {min(table.mul(m, x) for m in mx) for x in sub}:
                 acc = f.add_vec(acc, rep.at(q).a)
             rows.append(f.matmul(fr.a, np.ascontiguousarray(acc.T)))
         reduced = gauss(FMatrix(f, np.vstack(rows)))
@@ -343,6 +348,14 @@ def reference_brauer_quotient(rep, sub_indices, p):
 def _row_space(m):
     g = gauss(m)
     return g.rref.a[: g.rank].tolist()
+
+
+def _trace_image(bq):
+    """The trace image of a quotient as independent rows of the module's
+    space, formed from its coordinate rows."""
+    f = bq.rep.field
+    red = gauss(bq.coords)
+    return FMatrix(f, f.matmul(red.rref.a[: red.rank], bq.fixed.a))
 
 
 def check_walk_against_reference(rep, p, rng):
@@ -370,7 +383,7 @@ def check_walk_against_reference(rep, p, rng):
     # every memoized fixed basis is the identity at its columns, so the
     # entries there are coordinates
     assert len(rep._fixed) == len(subs) - 1
-    for rows, cols in rep._fixed.values():
+    for rows, cols, _ in rep._fixed.values():
         assert np.array_equal(rows.a[:, cols],
                               np.eye(len(cols), dtype=rows.a.dtype))
     # the reference multiplies the same generator matrices down the parent
@@ -385,8 +398,11 @@ def check_walk_against_reference(rep, p, rng):
         # block by rank-nullity; its coordinate rows give the same rank
         assert bq.dim == bq.fixed.a.shape[0] - gauss(bq.coords).rank
         assert _row_space(bq.fixed) == _row_space(fixed)
-        assert _row_space(bq.image) == _row_space(image)
-        assert bq.image.a.shape[0] == bq.fixed.a.shape[0] - bq.dim
+        assert np.array_equal(bq.fixed.a[:, bq.cols],
+                              np.eye(len(bq.cols), dtype=bq.fixed.a.dtype))
+        image_rows = _trace_image(bq)
+        assert _row_space(image_rows) == _row_space(image)
+        assert image_rows.a.shape[0] == bq.fixed.a.shape[0] - bq.dim
 
 
 def _random_invertible(f, n, rng):
@@ -394,6 +410,30 @@ def _random_invertible(f, n, rng):
         s = FMatrix(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)])
         if s.rank() == n:
             return s
+
+
+def _permutation_sum(P, p, f, subs, rng):
+    """The sum of the permutation modules k[R\\P] over the subgroups R of
+    subs, in a random basis."""
+    blocks = []
+    for R in subs:
+        ctx = InducedContext(P, sorted(R))
+        triv = character_group(ctx.ntable, ctx.ntable.abelianization_pprime(p),
+                               f)[0]
+        blocks.append(ctx.induce(triv).gen_mats)
+    n = sum(b[0].shape[0] for b in blocks)
+    mats = []
+    for k in range(len(P.gens)):
+        m = np.zeros((n, n), dtype=f.dtype)
+        at = 0
+        for b in blocks:
+            d = b[k].shape[0]
+            m[at:at + d, at:at + d] = b[k].a
+            at += d
+        mats.append(FMatrix(f, m))
+    s = _random_invertible(f, n, rng)
+    sinv = s.inverse()
+    return ModuleRep(P, f, [s @ m @ sinv for m in mats])
 
 
 # the p-groups of the oracle, with their fields
@@ -417,26 +457,8 @@ def test_walk_matches_per_subgroup_reference(data, name, end):
     f = field_make(p, data.draw(st.sampled_from(degrees)))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     subs = P.subgroups(range(P.order))
-    blocks = []
-    for R in data.draw(st.lists(st.sampled_from(subs), min_size=1,
-                                max_size=1 if end else 3)):
-        ctx = InducedContext(P, sorted(R))
-        triv = character_group(ctx.ntable, ctx.ntable.abelianization_pprime(p),
-                               f)[0]
-        blocks.append(ctx.induce(triv).gen_mats)
-    n = sum(b[0].shape[0] for b in blocks)
-    mats = []
-    for k in range(len(gens)):
-        m = np.zeros((n, n), dtype=f.dtype)
-        at = 0
-        for b in blocks:
-            d = b[k].shape[0]
-            m[at:at + d, at:at + d] = b[k].a
-            at += d
-        mats.append(FMatrix(f, m))
-    s = _random_invertible(f, n, rng)
-    sinv = s.inverse()
-    rep = ModuleRep(P, f, [s @ m @ sinv for m in mats])
+    rep = _permutation_sum(P, p, f, data.draw(st.lists(
+        st.sampled_from(subs), min_size=1, max_size=1 if end else 3)), rng)
     if end:
         rep = rep.dual().tensor(rep)
         assert rep.factors
@@ -489,6 +511,24 @@ def test_walk_matches_reference_on_factored_tensor_modules(name):
     check_walk_against_reference(mods[0].dual().tensor(mods[1]), p, rng)
 
 
+def test_walk_matches_reference_at_p5_with_several_maximal_subgroups():
+    """C5 x C5 over GF(5), whose six subgroups of order 5 are each a
+    maximal subgroup: the five not on the walk take their traces from
+    (rep(g) - 1)^4.  k ⊕ k[R\\P] ⊕ k[S\\P] for two of them in a random
+    basis, whose quotient at P is k, and its factored End module."""
+    P = GroupTable(PermOps(10), [perm(10, (0, 1, 2, 3, 4)),
+                                 perm(10, (5, 6, 7, 8, 9))])
+    f = field_make(5, 1)
+    maximal = [mx for mx, _ in _maximal_subgroups(P, range(P.order), 5)]
+    assert len(maximal) == 6
+    rng = random.Random(19)
+    for R, S in ((maximal[0], maximal[1]), (maximal[2], maximal[5])):
+        rep = _permutation_sum(P, 5, f, [range(P.order), R, S], rng)
+        check_walk_against_reference(rep, 5, rng)
+        assert brauer_quotient(rep, range(P.order), 5).dim == 1
+        check_walk_against_reference(rep.dual().tensor(rep), 5, rng)
+
+
 def test_brauer_quotient_rejects_a_set_not_closed_under_the_product():
     G = a5()
     rep = perm_module(G, field_make(2, 1))
@@ -512,6 +552,20 @@ def test_brauer_quotient_rejects_a_subgroup_of_order_prime_to_p():
         brauer_quotient(rep, s3, 2)
     rep3 = perm_module(G, field_make(3, 1))
     assert brauer_quotient(rep3, c3, 3).dim == _fixed_points(G, c3)
+
+
+def test_brauer_quotient_rejects_a_prime_other_than_the_characteristic():
+    """The trace (g - 1)^(p-1) is sum_{k<p} g^k only in characteristic p."""
+    G = a5()
+    c3 = sorted(G.closure([next(x for x in range(G.order)
+                                if G.order_of(x) == 3)]))
+    v4 = G.sylow(2)
+    for (p, e), sub, q in (((2, 1), c3, 3), ((2, 2), c3, 3), ((3, 1), v4, 2),
+                           ((5, 1), c3, 3)):
+        rep = perm_module(G, field_make(p, e))
+        with pytest.raises(ValueError,
+                           match=f"at p = {q} of a module in characteristic {p}"):
+            brauer_quotient(rep, sub, q)
 
 
 @given(st.sets(st.integers(0, 11), max_size=6))
@@ -581,8 +635,8 @@ def test_jordan_profile_rejects_an_element_that_is_not_unipotent():
 @pytest.mark.parametrize("name", ["A4", "A5", "PSL(2,7)", "3A6"])
 def test_image_and_action_scalars_on_tensor_squares(k_report, name):
     """The Brauer quotients at P of the tensor squares that
-    ``--tensor-power 2`` checks: reading ``image`` leaves ``dim`` as it was
-    and spans the reference image, and the action scalars are those of the
+    ``--tensor-power 2`` checks: the image formed from the coordinate rows
+    spans the reference image, and the action scalars are those of the
     reference fixed rows and image."""
     res = k_report(name)
     nt = res.ctx.ntable
@@ -593,17 +647,16 @@ def test_image_and_action_scalars_on_tensor_squares(k_report, name):
             continue
         square = r.rep.restrict(nt).tensor_power(2)
         bq = brauer_quotient(square, S, 2)
-        dim = bq.dim
-        image = bq.image
-        assert bq.dim == dim == 1
+        assert bq.dim == 1
+        image = _trace_image(bq)
         literal = ModuleRep(nt, square.field, square.gen_mats)
         ref_dim, ref_fixed, ref_image = reference_brauer_quotient(literal, S, 2)
-        assert ref_dim == dim
+        assert ref_dim == bq.dim
         assert _row_space(image) == _row_space(ref_image)
         assert image.a.shape[0] == ref_image.a.shape[0]
-        ref = SimpleNamespace(rep=literal, fixed=ref_fixed, image=ref_image)
         assert bq.action_scalars(nt.gen_idx) == \
-            [action_scalar_reference(ref, g) for g in nt.gen_idx]
+            [action_scalar_reference(literal, ref_fixed, ref_image, g)
+             for g in nt.gen_idx]
         checked += 1
     assert checked
 
@@ -621,51 +674,67 @@ def test_brauer_action_scalar_trivial():
             assert bq.action_scalars([g]) == [1]
 
 
-def action_scalar_reference(bq, g):
-    """The scalar by which g acts on a 1-dimensional Brauer quotient: the
-    first fixed row whose rank probe against the image grows the rank is
-    the base, and g applied to it is solved in image rows plus the base."""
-    f = bq.rep.field
-    img = bq.image.a
+def action_scalar_reference(rep, fixed, image, g):
+    """The scalar by which g acts on a 1-dimensional Brauer quotient with
+    the given fixed rows and trace image rows: the first fixed row whose
+    rank probe against the image grows the rank is the base, and g applied
+    to it is solved in image rows plus the base."""
+    f = rep.field
+    img = image.a
     base = None
-    for r in range(bq.fixed.a.shape[0]):
-        cand = np.vstack([img, bq.fixed.a[r:r + 1]])
+    for r in range(fixed.a.shape[0]):
+        cand = np.vstack([img, fixed.a[r:r + 1]])
         if FMatrix(f, cand).rank() == img.shape[0] + 1:
-            base = bq.fixed.a[r]
+            base = fixed.a[r]
             break
     assert base is not None
-    w = bq.rep.at(g) @ FMatrix(f, base[:, None].copy())
+    w = rep.at(g) @ FMatrix(f, base[:, None].copy())
     sol = solve_right(FMatrix(f, np.vstack([img, base[None, :]])).T, w)
     assert sol is not None
     return int(sol.a[-1, 0])
 
 
-@pytest.mark.parametrize("name", ["A5", "3A6"])
-def test_action_scalar_matches_rank_probes(k_report, name):
+@pytest.mark.parametrize("name,p", [
+    pytest.param("A5", 2, id="A5"), pytest.param("3A6", 2, id="3A6"),
+    pytest.param("A5", 3, id="A5-3"), pytest.param("A5", 5, id="A5-5"),
+    pytest.param("A6", 3, id="A6-3"), pytest.param("PSL(2,11)", 5,
+                                                   id="PSL(2,11)-5")])
+def test_action_scalar_matches_rank_probes(k_report, name, p):
     """On every Green correspondent, at P, for every element of N_G(P)."""
-    res = k_report(name)
+    res = k_report(name, p)
+    assert res.p == p == res.field_p
     for r in res.records:
-        bq = brauer_quotient(r.rep, res.sylow, 2)
+        bq = brauer_quotient(r.rep, res.sylow, p)
         assert bq.dim == 1
         gs = res.ctx.n_indices
-        assert bq.action_scalars(gs) == [action_scalar_reference(bq, g)
-                                         for g in gs]
+        image = _trace_image(bq)
+        assert bq.action_scalars(gs) == [
+            action_scalar_reference(bq.rep, bq.fixed, image, g) for g in gs]
 
 
 def test_action_scalar_base_skips_rows_inside_the_image():
-    """A fixed row inside the image comes first; the base is the next one."""
-    G = a5()
+    """A fixed row inside the image comes first; the base is the next one.
+    An element that moves the base out of the fixed rows is refused."""
+    C3 = GroupTable(PermOps(3), [perm(3, (0, 1, 2))])
     f = field_make(2, 2)
-    rep = ModuleRep(G, f, [FMatrix.identity(f, 2) for _ in G.gens])
-    ident = FMatrix.identity(f, 2)
-    # image coordinates [1, 0]: the image is the first fixed row
-    bq = BrauerQuotient(rep, (0,), FMatrix(f, [[1, 1], [0, 1]]),
-                        FMatrix(f, [[1, 0]]), 1)
-    assert bq.image.a.tolist() == [[1, 1]]
-    assert bq.action_scalars([1]) == [action_scalar_reference(bq, 1)] == [1]
-    inside = BrauerQuotient(rep, (0,), ident, ident, 1)
-    with pytest.raises(RuntimeError, match="no fixed row outside"):
-        inside.action_scalars([0])
+    w = f.root_of_unity(3)
+    rep = ModuleRep(C3, f, [FMatrix(f, [[w, 0, 0], [0, w, 0], [0, 0, w]])])
+    # fixed rows, the identity at columns 0 and 1, with image coordinates
+    # [1, 0]: the image is the first fixed row
+    bq = BrauerQuotient(rep, (0,), FMatrix(f, [[1, 0, 1], [0, 1, 1]]),
+                        np.array([0, 1]), FMatrix(f, [[1, 0]]), 1)
+    image = _trace_image(bq)
+    assert image.a.tolist() == [[1, 0, 1]]
+    g, g2 = C3.gen_idx[0], C3.mul(C3.gen_idx[0], C3.gen_idx[0])
+    assert bq.action_scalars([0, g, g2]) == \
+        [action_scalar_reference(rep, bq.fixed, image, x) for x in (0, g, g2)] \
+        == [1, w, f.mul(w, w)]
+    cyc = ModuleRep(C3, f, [FMatrix(f, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])])
+    moved = BrauerQuotient(cyc, (0,), FMatrix(f, [[1, 0, 0], [0, 1, 0]]),
+                           np.array([0, 1]), FMatrix(f, [[1, 0]]), 1)
+    assert moved.action_scalars([0]) == [1]
+    with pytest.raises(RuntimeError, match="must normalize the subgroup"):
+        moved.action_scalars([0, g])
 
 
 def test_brauer_action_scalar_needs_dimension_one():
@@ -680,7 +749,7 @@ def test_brauer_action_scalar_needs_dimension_one():
     with pytest.raises(ValueError, match="1-dimensional"):
         bq.action_scalars([0])
     with pytest.raises(RuntimeError, match="dim 2, expected 1"):
-        bq_character(two, P, 2, None, [])
+        bq_character(two, P, 2, None, {})
 
 
 # -- induction ----------------------------------------------------------------
