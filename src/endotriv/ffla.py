@@ -19,6 +19,12 @@ product, with coefficients in [0, N) in place of digits, multiplies matrices
 over the Galois rings (Z/p^j)[x]/(F), F the integer lift of the field's
 polynomial (``ring_matmul``).
 
+The packed product is the package's only float BLAS call, and it runs on one
+OpenBLAS thread: idle OpenBLAS workers busy-wait after a threaded product,
+which costs CPU on mid-size products and gains little wall time.  The thread
+count is set to one around the products and restored after, and cannot
+change a result, since every packed slot sum is an exact integer.
+
 Row reduction (``gauss``) for q > 2 works in the field dtype (uint8/uint16)
 with no int64 copy.  Each pivot updates only the columns from the pivot
 column on, since everything left of it is already reduced, and in
@@ -27,7 +33,10 @@ place with ``^=``.
 """
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -108,6 +117,42 @@ def _pack(c: np.ndarray, t: int, s: int) -> np.ndarray:
         part = c[i::t]
         out[: len(part)] += part * 2.0 ** (s * i)
     return out
+
+
+@cache
+def _blas_threads():
+    """(get, set) for the thread count of the OpenBLAS that numpy calls, or
+    None when they are not found.  dlsym on numpy's own extension module
+    also searches the libraries it links, so this finds numpy's OpenBLAS
+    under either the numpy-wheel or the system-build symbol names."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads")):
+        try:
+            return getattr(lib, get), getattr(lib, put)
+        except AttributeError:
+            pass
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the
+    count found on entry; do nothing when ``_blas_threads`` finds none."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
 
 
 def _mod(x: np.ndarray, N: int) -> None:
@@ -368,32 +413,34 @@ class FieldTable:
         are folded in by the reduction table.  The diagonal of a product
         takes one einsum per pair of blocks instead.  The packed operands
         are released once the last BLAS product is taken, before its slots
-        are decoded.
+        are decoded.  The products run on one OpenBLAS thread
+        (``_one_blas_thread``).
         """
         e = self.e
         # coef[m]: the coefficient of x^m in the unreduced product
         coef = [None] * (2 * e - 1)
         last = (len(pa) - 1, len(pb) - 1)
-        for i in range(len(pa)):
-            for j in range(len(pb)):
-                if trace:
-                    prod = np.einsum("...jk,...kj->...j", pa[i], pb[j])
-                else:
-                    prod = pa[i] @ pb[j]
-                if (i, j) == last:
-                    del pa, pb
-                prod = prod.astype(np.int64)
-                top = min(t, e - i * t) + min(t, e - j * t) - 2
-                # top slot first: slot 0 is then masked in place in prod
-                for m in range(top, -1, -1):
-                    slot = prod >> (s * m) if m else prod
-                    if m < top:
-                        slot &= (1 << s) - 1
-                    d = (i + j) * t + m
-                    if coef[d] is None:
-                        coef[d] = slot
+        with _one_blas_thread():
+            for i in range(len(pa)):
+                for j in range(len(pb)):
+                    if trace:
+                        prod = np.einsum("...jk,...kj->...j", pa[i], pb[j])
                     else:
-                        coef[d] += slot
+                        prod = pa[i] @ pb[j]
+                    if (i, j) == last:
+                        del pa, pb
+                    prod = prod.astype(np.int64)
+                    top = min(t, e - i * t) + min(t, e - j * t) - 2
+                    # top slot first: slot 0 is then masked in place in prod
+                    for m in range(top, -1, -1):
+                        slot = prod >> (s * m) if m else prod
+                        if m < top:
+                            slot &= (1 << s) - 1
+                        d = (i + j) * t + m
+                        if coef[d] is None:
+                            coef[d] = slot
+                        else:
+                            coef[d] += slot
         red = self._reduction_table(N)
         for m in range(e, 2 * e - 1):
             _mod(coef[m], N)
@@ -592,10 +639,6 @@ class FMatrix:
 
     def __hash__(self) -> int:
         return hash((self.a.shape, self.a.tobytes()))
-
-    def is_identity(self) -> bool:
-        r, c = self.a.shape
-        return r == c and bool(np.array_equal(self.a, np.eye(r, dtype=self.field.dtype)))
 
     def is_zero(self) -> bool:
         return not np.any(self.a)

@@ -4,7 +4,11 @@ Groups are enumerated fully (breadth-first over right multiplication, capped
 at 2*10^4 elements) and every element gets an integer index; index 0 is the
 identity.  Elements are permutation tuples, matrix code arrays or, in a
 subgroup table, indices of the ambient table, behind small ops objects whose
-product serves the enumeration only.  Everything later works on indices
+products serve the enumeration only.  The enumeration asks the ops for a
+whole breadth-first layer times one generator at a time: matrix ops stack
+the layer and take one ``FieldTable.matmul`` per (layer, generator), in
+chunks of at most ``LAYER_CHUNK_CODES`` codes; the other ops yield their
+products lazily.  Everything later works on indices
 through the recorded Cayley right-edges: scalar products walk them, sweeps
 over the whole group act on index permutations, and one orbit labeller gives
 cosets, double cosets and conjugacy classes.
@@ -34,8 +38,13 @@ ENUM_CAP = 20000
 # take about 160 MiB, so a larger degree is refused before any is built
 MAX_PERM_DEGREE = 1024
 # a matrix element and its tobytes key hold 2 dim^2 codes of at least one
-# byte each: ENUM_CAP of them at this dimension take about 160 MiB
+# byte each: ENUM_CAP of them at this dimension take about 160 MiB; the
+# stacked products of one layer add at most one chunk per generator
 MAX_MAT_DIM = 64
+# codes per stacked layer product: the packed float64 and int64 arrays of one
+# chunk stay under 2 MiB up to GF(64), and the largest layer of a 3x3
+# catalog group (3A7: 1428 matrices, 12852 codes) is still one chunk
+LAYER_CHUNK_CODES = 1 << 14
 
 
 class PermOps:
@@ -52,7 +61,7 @@ class PermOps:
 
     def mul(self, a, b):
         # (a*b)(x) = a(b(x))
-        return tuple(a[b[i]] for i in range(self.degree))
+        return tuple(map(a.__getitem__, b))
 
     def inv(self, a):
         out = [0] * self.degree
@@ -62,6 +71,10 @@ class PermOps:
 
     def key(self, a):
         return a
+
+    def right_products(self, xs, g):
+        """x * g for every x in xs, in order, one at a time."""
+        return (self.mul(x, g) for x in xs)
 
 
 class MatOps:
@@ -86,6 +99,17 @@ class MatOps:
     def key(self, a):
         return a.tobytes()
 
+    def right_products(self, xs, g):
+        """x * g for every x in xs, in order: each chunk of the list is
+        stacked into one (m*dim) x dim array and multiplied by g at once.
+        Every product is a copy, so a kept element does not keep its chunk
+        alive."""
+        d = self.dim
+        step = max(1, LAYER_CHUNK_CODES // (d * d))
+        for c in range(0, len(xs), step):
+            prods = self.field.matmul(np.concatenate(xs[c:c + step]), g)
+            yield from (y.copy() for y in prods.reshape(-1, d, d))
+
 
 class SubgroupOps:
     """Elements of a subgroup table: indices of an ambient table, multiplied
@@ -97,11 +121,12 @@ class SubgroupOps:
     def identity(self):
         return 0
 
-    def mul(self, a, b):
-        return self.ambient.mul(a, b)
-
     def key(self, a):
         return a
+
+    def right_products(self, xs, g):
+        """x * g for every x in xs, in order, one at a time."""
+        return (self.ambient.mul(x, g) for x in xs)
 
 
 class GroupTable:
@@ -124,20 +149,21 @@ class GroupTable:
         self.index = {ops.key(ident): 0}
         self._parent = [-1]
         self._genidx = [-1]
-        # _rows[i][g] = index of elements[i] * gens[g]; the queue visits
-        # indices in the order they were found, so row i is appended i-th.
-        # Every breadth-first layer is a contiguous index range, its parents
-        # in the layer before; _layers holds the range boundaries.
+        # _rows[i][g] = index of elements[i] * gens[g].  Every breadth-first
+        # layer is a contiguous index range, its parents in the layer before;
+        # _layers holds the range boundaries.  The products of a layer by
+        # each generator are walked in lockstep, so new indices arrive in
+        # (element, generator) order and row i is appended i-th.
         self._rows: list[list[int]] = []
         self._layers = [0, 1]
-        queue = [0]
-        while queue:
-            nxt = []
-            for i in queue:
-                x = self.elements[i]
+        while self._layers[-2] < self._layers[-1]:
+            start, stop = self._layers[-2:]
+            layer = self.elements[start:stop]
+            prods = [iter(ops.right_products(layer, g)) for g in self.gens]
+            for i in range(start, stop):
                 row = []
-                for gi, g in enumerate(self.gens):
-                    y = ops.mul(x, g)
+                for gi, it in enumerate(prods):
+                    y = next(it)
                     k = ops.key(y)
                     j = self.index.get(k)
                     if j is None:
@@ -147,10 +173,8 @@ class GroupTable:
                         self.elements.append(y)
                         self._parent.append(i)
                         self._genidx.append(gi)
-                        nxt.append(j)
                     row.append(j)
                 self._rows.append(row)
-            queue = nxt
             self._layers.append(len(self.elements))
         self.n = len(self.elements)
         self.edges = np.array(self._rows, dtype=np.int64).reshape(self.n, -1).T.copy()

@@ -95,9 +95,6 @@ class LinearCharacter:
     def value(self, i: int) -> int:
         return int(self.vals[i])
 
-    def is_trivial(self) -> bool:
-        return all(a == 0 for a in self.exps)
-
     def __repr__(self) -> str:
         return f"LinearCharacter{self.exps}"
 

@@ -324,6 +324,100 @@ def test_ring_matmul_all_max_at_every_block_switch(pe, level):
             ring_oracle(f, N, x, y).tolist(), k
 
 
+# -- one BLAS thread inside the packed product --------------------------------
+
+BLAS = ffla._blas_threads()
+needs_openblas = pytest.mark.skipif(BLAS is None,
+                                    reason="numpy is not linked to OpenBLAS")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS on two threads for the test, restored after; yields
+    the getter."""
+    get, put = BLAS
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def _packed_products(seed):
+    """matmul over GF(4) and GF(25) at mid-size shapes where OpenBLAS
+    threads, and a product and a trace over GR(4, 2)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for pe in [(2, 2), (5, 2)]:
+        f = field_make(*pe)
+        a = rng.integers(0, f.q, (100, 196)).astype(f.dtype)
+        b = rng.integers(0, f.q, (196, 100)).astype(f.dtype)
+        out.append(f.matmul(a, b))
+    f = field_make(2, 2)
+    x, y = rng.integers(0, 4, size=(2, f.e, 3, 40, 40))
+    out += [f.ring_matmul(x, y, 4), f.ring_matmul(x, y, 4, trace=True)]
+    return out
+
+
+@needs_openblas
+def test_packed_products_restore_the_blas_thread_count(two_blas_threads):
+    get = two_blas_threads
+    _packed_products(0)
+    assert get() == 2
+
+
+@needs_openblas
+def test_packed_products_run_on_one_blas_thread(monkeypatch, two_blas_threads):
+    """The trace einsum runs inside the pinned loop: it sees one thread, and
+    the count is back at two after the product and after a raise in it."""
+    get = two_blas_threads
+    seen = []
+    einsum = np.einsum
+
+    def spy(*args):
+        seen.append(get())
+        return einsum(*args)
+
+    f = field_make(2, 2)
+    x = np.ones((f.e, 4, 4), dtype=np.int64)
+    monkeypatch.setattr(ffla.np, "einsum", spy)
+    f.ring_matmul(x, x, 4, trace=True)
+    assert seen and set(seen) == {1}
+    assert get() == 2
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ffla.np, "einsum", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        f.ring_matmul(x, x, 4, trace=True)
+    assert get() == 2
+
+
+def test_packed_product_pins_and_restores_through_the_resolver(monkeypatch):
+    """With a stand-in (get, set) pair: one thread during the product and
+    the count found restored after it, also when the product raises."""
+    log = []
+    monkeypatch.setattr(ffla, "_blas_threads",
+                        lambda: (lambda: log.append("get") or 7, log.append))
+    f = field_make(2, 2)
+    a = np.ones((3, 3), dtype=f.dtype)
+    f.matmul(a, a)
+    assert log == ["get", 1, 7]
+    log.clear()
+    with pytest.raises(ValueError):
+        f._packed_product(np.ones((1, 2, 3)), np.ones((1, 4, 5)), 1, 8, 2)
+    assert log == ["get", 1, 7]
+
+
+def test_products_do_not_depend_on_the_pin(monkeypatch):
+    """Every packed slot sum is an exact integer below 2^53, so the thread
+    count cannot change a product."""
+    pinned = _packed_products(1)
+    monkeypatch.setattr(ffla, "_blas_threads", lambda: None)
+    for x, y in zip(pinned, _packed_products(1)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 def test_gauss_rank_transpose(f):
     q = f.p ** f.e
     rng = np.random.default_rng(11)
@@ -484,8 +578,8 @@ def test_inverse_roundtrip(f):
         A = FMatrix(f, rng.integers(0, q, size=(4, 4)).astype(f.dtype))
         if A.rank() < 4:
             continue
-        assert (A @ A.inverse()).is_identity()
-        assert (A.inverse() @ A).is_identity()
+        assert A @ A.inverse() == FMatrix.identity(f, 4)
+        assert A.inverse() @ A == FMatrix.identity(f, 4)
         done += 1
 
 

@@ -2,12 +2,14 @@
 file format.  Structural values are checked against closed forms and brute
 oracles computed here by direct element enumeration.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endotriv import catalog
-from endotriv.ffla import field_make
+from endotriv import catalog, grp
+from endotriv.ffla import FieldTable, FMatrix, field_make
 from endotriv.grp import (GroupTable, MatOps, PermOps, parse_group_file,
                           serialize_group_file)
 
@@ -129,6 +131,122 @@ def test_cap_enforced():
     with pytest.raises(ValueError):
         GroupTable(PermOps(5), [perm(5, (0, 1, 2)), perm(5, (0, 1, 2, 3, 4))],
                    cap=30)
+
+
+# -- layered enumeration against the scalar one -------------------------------
+
+def scalar_enumeration(ops, gens, cap):
+    """The breadth-first enumeration with one ops.mul per (element,
+    generator): elements, index, parent, genidx, edges and layer bounds."""
+    elements = [ops.identity()]
+    index = {ops.key(elements[0]): 0}
+    parent, genidx, rows, layers = [-1], [-1], [], [0, 1]
+    queue = [0]
+    while queue:
+        nxt = []
+        for i in queue:
+            row = []
+            for gi, g in enumerate(gens):
+                y = ops.mul(elements[i], g)
+                j = index.get(ops.key(y))
+                if j is None:
+                    if len(elements) >= cap:
+                        raise ValueError(f"group enumeration exceeded cap {cap}")
+                    j = index[ops.key(y)] = len(elements)
+                    elements.append(y)
+                    parent.append(i)
+                    genidx.append(gi)
+                    nxt.append(j)
+                row.append(j)
+            rows.append(row)
+        queue = nxt
+        layers.append(len(elements))
+    edges = np.array(rows, dtype=np.int64).reshape(len(elements), -1).T
+    return elements, index, parent, genidx, edges, layers
+
+
+def check_against_scalar(ops, gens, cap):
+    """GroupTable(ops, gens, cap) equals the scalar enumeration, or both
+    refuse the cap."""
+    try:
+        ref = scalar_enumeration(ops, gens, cap)
+    except ValueError:
+        with pytest.raises(ValueError, match="exceeded cap"):
+            GroupTable(ops, gens, cap=cap)
+        return None
+    G = GroupTable(ops, gens, cap=cap)
+    elements, index, parent, genidx, edges, layers = ref
+    assert len(G.elements) == len(elements)
+    for x, y in zip(G.elements, elements):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert G.index == index
+    assert G._parent == parent and G._genidx == genidx
+    assert np.array_equal(G.edges, edges)
+    assert G._layers == layers
+    return G
+
+
+ORACLE_FIELDS = [(2, 1), (2, 2), (5, 1), (5, 2)]
+
+
+@st.composite
+def matrix_groups(draw):
+    """A few invertible d x d generators over a small field, d = 1..4: dense
+    random ones, and monomial ones with entries +-1, whose groups stay
+    small enough to finish under the cap."""
+    f = field_make(*draw(st.sampled_from(ORACLE_FIELDS)))
+    d = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            codes = st.lists(st.integers(0, f.q - 1), min_size=d * d, max_size=d * d)
+            a = np.array(draw(codes.filter(
+                lambda c: FMatrix(f, np.array(c).reshape(d, d)).rank() == d)),
+                dtype=f.dtype).reshape(d, d)
+        else:
+            a = np.zeros((d, d), dtype=f.dtype)
+            signs = draw(st.lists(st.sampled_from([1, f.neg(1)]), min_size=d, max_size=d))
+            a[np.arange(d), draw(st.permutations(range(d)))] = signs
+        gens.append(a)
+    return MatOps(f, d), gens
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2], ids=["default", "chunk1", "chunk2"])
+@given(matrix_groups())
+@settings(max_examples=60, deadline=None)
+def test_layered_enumeration_matches_scalar(chunk, group):
+    """chunk: matrices per stacked product (None: the module's constant),
+    so 1 and 2 put chunk boundaries inside every layer."""
+    ops, gens = group
+    codes = grp.LAYER_CHUNK_CODES if chunk is None else chunk * ops.dim ** 2
+    with mock.patch.object(grp, "LAYER_CHUNK_CODES", codes):
+        check_against_scalar(ops, gens, cap=600)
+
+
+@pytest.mark.parametrize("name", ["3A6", "C9*3A6"])
+def test_cover_enumeration_matches_scalar(name):
+    G = catalog.lookup(name).builder()
+    assert check_against_scalar(G.ops, G.gens, cap=G.order) is not None
+
+
+def test_cover_layers_are_one_product_per_generator(monkeypatch):
+    """A whole layer of a 3 x 3 catalog group fits one chunk: the build takes
+    one matmul per (nonempty layer, generator)."""
+    ops, gens = parse_group_file(catalog._data_text("three_a6_gf4.txt"))
+    calls = []
+    monkeypatch.setattr(ops.field, "matmul",
+                        lambda a, b: calls.append(a.shape) or FieldTable.matmul(ops.field, a, b))
+    G = GroupTable(ops, gens)
+    sizes = np.diff(G._layers)[:-1]
+    assert G.order == 1080 and len(sizes) == 8
+    assert calls == [(3 * int(m), 3) for m in sizes for _ in gens]
+
+
+def test_cap_boundary_on_3a6():
+    ops, gens = parse_group_file(catalog._data_text("three_a6_gf4.txt"))
+    assert GroupTable(ops, gens, cap=1080).order == 1080
+    with pytest.raises(ValueError, match="exceeded cap 1079"):
+        GroupTable(ops, gens, cap=1079)
 
 
 def test_order_of_and_power():

@@ -61,8 +61,9 @@ def test_character_group_structure(a5ctx):
     chars = character_group(ctx.ntable, ab, f)
     assert len(chars) == 3
     assert [c.order for c in chars] == [1, 3, 3]
-    assert chars[0].is_trivial()
-    assert not any(c.is_trivial() for c in chars[1:])
+    # trivial: every exponent zero
+    assert not any(chars[0].exps)
+    assert all(any(c.exps) for c in chars[1:])
     # values are cube roots of unity and multiply like the exponents
     nt = ctx.ntable
     for c in chars:
@@ -128,7 +129,7 @@ def test_restrict_tensor_dual():
     assert tens.dim == 25
     du = rep.dual()
     for k in range(len(G.gens)):
-        assert (du.gen_mats[k].T @ rep.gen_mats[k]).is_identity()
+        assert du.gen_mats[k].T @ rep.gen_mats[k] == FMatrix.identity(f, rep.dim)
 
 
 # -- tensor factors -------------------------------------------------------------
