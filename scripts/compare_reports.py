@@ -14,11 +14,16 @@ report, the error output and the exit code of each run must agree.  At the
 first difference the script prints the group, the arguments and the first
 differing line of each tree, and exits 1; when every run agrees it prints
 the number of runs and exits 0.
+
+Every run is timed from spawn to exit.  When all runs agree the script ends
+with one row per catalog group (and odd prime): the runs it made and their
+total seconds on each tree, the wall time of ``endotriv analyze`` per group.
 """
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SEEDS = (0, 1, 2)
@@ -35,6 +40,34 @@ def endotriv(tree: Path, args: list[str]) -> subprocess.CompletedProcess:
         filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "endotriv.cli", *args],
                           capture_output=True, text=True, env=env, check=False)
+
+
+def timed(tree: Path, args: list[str]
+          ) -> tuple[subprocess.CompletedProcess, float]:
+    """``endotriv(tree, args)`` and its wall time in seconds."""
+    start = time.perf_counter()
+    proc = endotriv(tree, args)
+    return proc, time.perf_counter() - start
+
+
+def group_key(args: list[str]) -> str:
+    """The table row of a run: its group, and its prime unless p = 2."""
+    key = args[2]
+    if "--prime" in args:
+        key += f" p={args[args.index('--prime') + 1]}"
+    return key
+
+
+def time_table(seconds: dict[str, list]) -> str:
+    """One row per group: runs, total old and new seconds, new/old."""
+    width = max(len("group"), *map(len, seconds))
+    rows = list(seconds.items())
+    rows.append(("all", [sum(col) for col in zip(*seconds.values())]))
+    lines = [f"{'group':<{width}}  runs   old s   new s  new/old"]
+    for key, (runs, old, new) in rows:
+        lines.append(f"{key:<{width}}  {runs:4d}  {old:6.2f}  {new:6.2f}"
+                     f"  {new / old:7.2f}")
+    return "\n".join(lines)
 
 
 def cases(groups: list[str]) -> list[list[str]]:
@@ -84,14 +117,23 @@ def main(argv: list[str]) -> int:
         return 2
     groups = [row["name"] for row in json.loads(listed.stdout)]
     runs = cases(groups)
+    # group key -> [runs, old seconds, new seconds]
+    seconds: dict[str, list] = {}
     for k, args in enumerate(runs, 1):
-        diff = first_difference(endotriv(old_tree, args),
-                                endotriv(new_tree, args))
+        old, old_s = timed(old_tree, args)
+        new, new_s = timed(new_tree, args)
+        diff = first_difference(old, new)
         if diff:
             print(f"DIFFERENT {args[2]}  ({' '.join(args)})\n{diff}")
             return 1
-        print(f"[{k}/{len(runs)}] same  {' '.join(args)}", flush=True)
+        row = seconds.setdefault(group_key(args), [0, 0.0, 0.0])
+        row[0] += 1
+        row[1] += old_s
+        row[2] += new_s
+        print(f"[{k}/{len(runs)}] same  {old_s:6.2f} s {new_s:6.2f} s  "
+              f"{' '.join(args)}", flush=True)
     print(f"all {len(runs)} runs identical on {len(groups)} groups")
+    print(time_table(seconds))
     return 0
 
 

@@ -14,7 +14,9 @@ code, in blocks of t, s bits apart into one float64 (Kronecker
 substitution), so one BLAS call per pair of blocks yields every
 digit-product coefficient; that is exact while (2t-1) * s <= 53 with
 2^s > k * t * (p-1)^2 for inner dimension k, and t shrinks as k grows.  For
-GF(2) matrices the rows are bit-packed into Python ints.  The same packed
+GF(2) matrices the rows of the right factor are bit-packed into uint64 words
+and XORed once per nonzero entry of the left factor (``gf2``), and the
+factor with fewer nonzero entries goes on the left.  The same packed
 product, with coefficients in [0, N) in place of digits, multiplies matrices
 over the Galois rings (Z/p^j)[x]/(F), F the integer lift of the field's
 polynomial (``ring_matmul``).
@@ -456,7 +458,9 @@ class FieldTable:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product of code arrays.
 
-        GF(2) runs on bit-packed rows.  Every other field gathers the
+        GF(2) XORs the bit-packed rows of b, one per nonzero entry of a
+        (``gf2.mul_packed``), and takes (b^T a^T)^T when b has fewer
+        nonzero entries than a.  Every other field gathers the
         packed digits of each code from a table (``_packing``) and takes
         the packed product (``_packed_product``) with N = p.  An inner
         dimension with k*(p-1)^2 >= 2^MANTISSA is split in halves.
@@ -470,9 +474,10 @@ class FieldTable:
         if rows == 0 or cols == 0 or k == 0:
             return np.zeros((rows, cols), dtype=self.dtype)
         if self.q == 2:
-            ar = gf2.pack_rows(a)
-            br = gf2.pack_rows(b)
-            return gf2.unpack_rows(gf2.mul_packed(ar, br), cols).astype(self.dtype)
+            if np.count_nonzero(b) < np.count_nonzero(a):
+                return np.ascontiguousarray(gf2.mul_packed(b.T, a.T).T,
+                                            dtype=self.dtype)
+            return gf2.mul_packed(a, b).astype(self.dtype, copy=False)
         p = self.p
         slots = self._slots(k, p)
         if slots is None:

@@ -1,4 +1,8 @@
-"""Bit-packed GF(2) matrix kernels: rows are Python ints, bit i = column i."""
+"""Bit-packed GF(2) matrix kernels.
+
+A row is packed little-endian, bit j for column j: into uint64 words for the
+product, and into a Python int for row reduction.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,62 +10,92 @@ import numpy as np
 __all__ = ["pack_rows", "unpack_rows", "mul_packed", "rref_packed"]
 
 
+def _words(a: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 array packed into (rows, max(1, ceil(cols/64)))
+    little-endian uint64 words."""
+    n, c = a.shape
+    buf = np.zeros((n, 8 * max(1, -(-c // 64))), dtype=np.uint8)
+    buf[:, : (c + 7) // 8] = np.packbits(a != 0, axis=1, bitorder="little")
+    return buf.view("<u8")
+
+
+def _bits(words: np.ndarray, ncols: int) -> np.ndarray:
+    """The 0/1 array (uint8) of rows of little-endian uint64 words."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=ncols,
+                         bitorder="little")
+
+
 def pack_rows(a: np.ndarray) -> list[int]:
-    a = np.asarray(a)
-    if a.shape[1] == 0:
-        return [0] * a.shape[0]
-    packed = np.packbits((a != 0).astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    """Rows of a 0/1 array as ints: one ``tolist`` of the words up to 64
+    columns, one int per slice of the packed bytes past that."""
+    words = _words(np.asarray(a))
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    buf = words.tobytes()
+    step = 8 * words.shape[1]
+    return [int.from_bytes(buf[i: i + step], "little")
+            for i in range(0, len(buf), step)]
 
 
 def unpack_rows(rows: list[int], ncols: int) -> np.ndarray:
-    nbytes = (ncols + 7) // 8
-    if ncols == 0:
-        return np.zeros((len(rows), 0), dtype=np.uint8)
-    buf = b"".join(v.to_bytes(nbytes, "little") for v in rows)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes),
-                         axis=1, bitorder="little")
-    return bits[:, :ncols].copy()
+    """The 0/1 array (uint8) of int rows with ncols columns."""
+    nw = max(1, -(-ncols // 64))
+    if nw == 1:
+        words = np.array(rows, dtype="<u8")
+    else:
+        words = np.frombuffer(b"".join(v.to_bytes(8 * nw, "little")
+                                       for v in rows), dtype="<u8")
+    return _bits(words.reshape(len(rows), nw), ncols)
 
 
-def mul_packed(arows: list[int], brows: list[int]) -> list[int]:
-    """Product rows: C_i = xor of B_j over set bits j of A_i."""
-    out = []
-    for v in arows:
-        acc = 0
-        while v:
-            low = v & -v
-            acc ^= brows[low.bit_length() - 1]
-            v ^= low
-        out.append(acc)
-    return out
+def mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of 0/1 arrays a and b, as a 0/1 array (uint8).
+
+    Row i is the XOR of the word rows of b at the nonzero entries of row i
+    of a: one gather of those word rows and one ``np.bitwise_xor.reduceat``
+    over the runs of equal rows in ``np.nonzero(a)``, so the work follows
+    the nonzero entries of the left factor.
+    """
+    words = _words(b)
+    out = np.zeros((a.shape[0], words.shape[1]), dtype="<u8")
+    ii, jj = np.nonzero(a)
+    if jj.size:
+        # ii is sorted; a run of equal row indices starts where it changes
+        first = np.ones(ii.size, dtype=bool)
+        np.not_equal(ii[1:], ii[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        out[ii[starts]] = np.bitwise_xor.reduceat(words[jj], starts, axis=0)
+    return _bits(out, b.shape[1])
 
 
 def rref_packed(rows: list[int], ncols: int) -> tuple[int, tuple[int, ...], list[int]]:
-    """Reduced row echelon form with leftmost-pivot, first-nonzero-row rule.
+    """Reduced row echelon form: (rank, pivot columns, reduced rows).
 
-    Returns (rank, pivot columns, reduced rows).
+    The rows are inserted one at a time into a basis keyed by pivot bit,
+    its lowest set bit: a row is reduced by the pivots it meets, and a new
+    pivot bit is cleared from the basis rows that carry it, so the basis
+    stays reduced.  The RREF is unique, so the basis sorted by pivot and
+    padded with zero rows is the RREF that column-by-column elimination
+    gives.  The cost follows rows x rank, not rows x cols.
     """
-    work = list(rows)
-    nrows = len(work)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r >= nrows:
-            break
-        mask = 1 << col
-        piv = -1
-        for i in range(r, nrows):
-            if work[i] & mask:
-                piv = i
+    basis: dict[int, int] = {}
+    pivmask = 0
+    for v in rows:
+        hit = v & pivmask
+        while hit:
+            low = hit & -hit
+            v ^= basis[low]
+            hit ^= low
+        if v:
+            low = v & -v
+            for key, row in basis.items():
+                if row & low:
+                    basis[key] = row ^ v
+            basis[low] = v
+            pivmask |= low
+            if len(basis) == ncols:
                 break
-        if piv < 0:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        for i in range(nrows):
-            if i != r and work[i] & mask:
-                work[i] ^= prow
-        pivots.append(col)
-        r += 1
-    return r, tuple(pivots), work
+    keys = sorted(basis)
+    out = [basis[k] for k in keys]
+    out += [0] * (len(rows) - len(out))
+    return len(keys), tuple(k.bit_length() - 1 for k in keys), out

@@ -53,7 +53,6 @@ __all__ = [
     "fixed_point_rows",
     "brauer_quotient",
     "BrauerQuotient",
-    "jordan_profile",
 ]
 
 
@@ -529,31 +528,3 @@ def brauer_quotient(rep: ModuleRep, sub_indices: Iterable[int], p: int
     coords = np.ascontiguousarray(reduced.rref.a[: reduced.rank])
     return BrauerQuotient(rep, subgroup, fixed, cols, FMatrix(f, coords),
                           len(cols) - len(coords))
-
-
-def jordan_profile(rep: ModuleRep, i: int) -> dict[int, int]:
-    """Jordan block sizes of element i (order a power of char): {size: count}.
-
-    Raises ValueError when rep(i) is not unipotent: the rank of
-    (rep(i) - 1)^j then stops falling above 0.
-    """
-    f = rep.field
-    m = rep.at(i)
-    a = FMatrix(f, _minus_one(f, m.a))
-    ranks = [rep.dim]
-    power = a
-    while ranks[-1] > 0:
-        ranks.append(power.rank())
-        if ranks[-1] == ranks[-2]:
-            raise ValueError(f"element {i} does not act unipotently: "
-                             f"(rep - 1)^{len(ranks) - 1} keeps rank "
-                             f"{ranks[-1]}")
-        power = power @ a
-    # ranks[j] = rank((m - 1)^j), ending in 0; block counts by second difference
-    out = {}
-    for j in range(1, len(ranks)):
-        nxt = ranks[j + 1] if j + 1 < len(ranks) else 0
-        cnt = ranks[j - 1] - 2 * ranks[j] + nxt
-        if cnt > 0:
-            out[j] = cnt
-    return out

@@ -21,9 +21,12 @@ only pairs a <= b are formed, in passes of at most RADICAL_PASS_CELLS cells;
 a pass is i - 1 p-th powers and one folded trace of batched Galois-ring
 products (``FieldTable.ring_matmul``, the packed float64 product of
 ``FieldTable.matmul`` with coefficients mod p^(i+1)), with no characteristic
-polynomial.  Products in the Hecke algebra
-are contractions with its structure tensor, and realizing an element is one
-contraction with the double-coset value table and one gather.
+polynomial.  The chain stops at a level that repeats the dimension of the
+one before once that level is certified a nilpotent left ideal, hence J;
+its last level must pass the same certificate or the radical raises.
+Products in the Hecke algebra are contractions with its structure tensor,
+and realizing an element is one contraction with the double-coset value
+table and one gather.
 
 A Hecke algebra A computes one radical, J(A), from its left-regular
 matrices; a corner eAe reads its semisimple dimension off
@@ -45,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ffla import FieldTable, FMatrix, gauss, kron
+from .ffla import FieldTable, FMatrix, gauss
 from .modrep import InducedContext, LinearCharacter, ModuleRep
 
 __all__ = [
@@ -59,7 +62,6 @@ __all__ = [
     "is_irreducible",
     "chop",
     "composition_factor_dims",
-    "module_iso",
     "NeedSplittingField",
 ]
 
@@ -386,8 +388,41 @@ def _trace_form(f: FieldTable, a: np.ndarray, b: np.ndarray, i: int
     return (p ** np.arange(f.e) @ (tr // p ** i)).astype(f.dtype)
 
 
+def _nilpotent_left_ideal(f: FieldTable, reg: np.ndarray, ideal: np.ndarray,
+                          pivots: Sequence[int]) -> bool:
+    """Whether the row span I of ``ideal`` is a nilpotent left ideal.
+
+    ``ideal`` is in RREF with pivot columns ``pivots``, and ``reg`` is the
+    (d, d, d) stack of the left-regular matrices L_k.  A I <= I holds when
+    every row s L_k^T = (L_k s)^T equals its entries at the pivots times
+    ``ideal``: one stacked product and one more for the reduction.  Then I^(k+1) = I I^k <= I^k, and the
+    rows x L_s^T = (s x)^T for x in I^k and s in I span I^(k+1): one
+    stacked product and one ``gauss`` per step.  I is nilpotent when the
+    chain reaches 0, and is not once its rank stops falling.
+    """
+    r, d = ideal.shape
+    if r == 0:
+        return True
+    # reg_t[y, k d + x] = L_k[x, y], so block k of row s of ideal @ reg_t
+    # is L_k s; mats_t lays out the L_s of the rows s of ideal the same way
+    reg_t = reg.transpose(2, 0, 1).reshape(d, d * d)
+    images = f.matmul(ideal, reg_t).reshape(r * d, d)
+    if not np.array_equal(f.matmul(images[:, list(pivots)], ideal), images):
+        return False
+    mats = f.matmul(ideal, reg.reshape(d, d * d)).reshape(r, d, d)
+    mats_t = mats.transpose(2, 0, 1).reshape(d, r * d)
+    power = ideal
+    while True:
+        red = gauss(FMatrix(f, f.matmul(power, mats_t).reshape(-1, d)))
+        if red.rank == 0:
+            return True
+        if red.rank >= power.shape[0]:
+            return False
+        power = red.rref.a[: red.rank]
+
+
 def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
-    """Row basis (coordinates) of the Jacobson radical.
+    """Row basis (coordinates) of the Jacobson radical, in RREF.
 
     reg[k] is the left-multiplication matrix L_k of basis element k acting
     on coordinate columns.  Level 0 keeps the x in the algebra with
@@ -395,6 +430,19 @@ def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
     down to the x with g_i(L_x L_y) = 0 for y in I_(i-1), while p^i <= d.
     Over a perfect field the last I_i is the radical (Cohen, Ivanyos and
     Wales, JPAA 117/118, 1997).
+
+    The chain stops early, and every radical it returns is certified:
+
+    - Every level keeps J = J(A): J <= I_i.  For x in J and any y, xy is
+      in J, so L_x L_y = L_(xy) is nilpotent.  g_i does not depend on the
+      lift (below), so lift L_(xy) strictly upper triangular in a basis
+      that makes it so: every power then has trace 0.
+    - A nilpotent left ideal lies in J.
+    - So once I_i is a left ideal (A I_i <= I_i) with I_i^k = 0 for some
+      k, I_i = J.  After each level i >= 1 whose I_i has the dimension of
+      I_(i-1), ``_nilpotent_left_ideal`` tests this, and the chain stops
+      if it holds.  A chain that runs to its end tests its last I_i the
+      same way, and raises RuntimeError if the test fails.
 
     g_i(A) = Tr(A'^(p^i)) / p^i mod p, where A' is any lift of A to the
     Galois ring R = GR(p^(i+1), e), whose residue field is GF(p^e):
@@ -418,22 +466,23 @@ def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
     Gram matrix g_i(L_a L_b) is symmetric, because (AB)^n and (BA)^n have
     the same trace, so levels i >= 1 form only the products with a <= b.
 
-    What the three points above do not show is that g_i cuts out the same
-    I_i as the published chain, whose level i is e_(p^i)(L_x L_y) = 0, the
-    elementary symmetric function of the eigenvalues.  No proof of that is
-    written down here for e > 1, where the lift is to a Galois ring rather
-    than to the integers: the equality rests on tests, a
-    hypothesis oracle against the e_(p^i) chain on group algebras in random
-    bases over GF(4), GF(8), GF(9) and GF(25), and bit-identical radicals
-    on every catalog corner.
+    That g_i cuts out the same I_i as the published chain, whose level i
+    is e_(p^i)(L_x L_y) = 0, is not proved here for e > 1, where the lift
+    is to a Galois ring rather than to the integers.  The certificate makes
+    the returned radical J either way; the equality of the levels rests on
+    tests, a hypothesis oracle against the e_(p^i) chain on group algebras
+    in random bases over GF(4), GF(8), GF(9) and GF(25).
     """
     d = len(reg)
-    flat = np.stack(reg).reshape(d, d * d).astype(f.dtype)
+    stack = np.stack(reg).astype(f.dtype)
+    flat = stack.reshape(d, d * d)
     cur = np.eye(d, dtype=f.dtype)
+    pivots = tuple(range(d))
     # pw[u] = p^u: digit u of a code is the coefficient of t^u in its lift
     pw = (f.p ** np.arange(f.e)).astype(f.dtype).reshape(-1, 1, 1, 1)
     i = 0
-    while f.p ** i <= d and cur.shape[0] > 0:
+    tested = False
+    while f.p ** i <= d:
         m = cur.shape[0]
         mats = f.matmul(cur, flat).reshape(m, d, d)
         if i == 0:
@@ -451,15 +500,20 @@ def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
                 gamma[cb, ca] = vals
         eta = gauss(FMatrix(f, gamma.T)).kernel.a.astype(np.int64)
         if eta.shape[0] == 0:
-            cur = cur[:0]
-            break
+            return FMatrix(f, cur[:0])
         shift = (-i) % f.e
         xi = f.pow_vec(eta, f.p ** shift)
         new = f.matmul(xi, cur)
         red = gauss(FMatrix(f, new))
-        cur = red.rref.a[: red.rank]
+        cur, pivots = red.rref.a[: red.rank], red.pivots
+        tested = i >= 1 and red.rank == m
+        if tested and _nilpotent_left_ideal(f, stack, cur, pivots):
+            return FMatrix(f, cur)
         i += 1
-    return FMatrix(f, cur)
+    if not tested and _nilpotent_left_ideal(f, stack, cur, pivots):
+        return FMatrix(f, cur)
+    raise RuntimeError(f"the last radical level, of dimension {cur.shape[0]}, "
+                       f"is not a nilpotent left ideal")
 
 
 # ---------------------------------------------------------------------------
@@ -813,32 +867,3 @@ def chop(f: FieldTable, mats: Sequence[FMatrix], rng: random.Random
 def composition_factor_dims(f: FieldTable, mats: Sequence[FMatrix],
                             rng: random.Random) -> list[int]:
     return sorted(m[0].a.shape[0] for m in chop(f, mats, rng))
-
-
-def module_iso(f: FieldTable, amats: Sequence[FMatrix],
-               bmats: Sequence[FMatrix], rng: random.Random
-               ) -> Optional[FMatrix]:
-    """Invertible T with T A_g = B_g T for all generators, or None."""
-    n = amats[0].a.shape[0]
-    if bmats[0].a.shape[0] != n:
-        return None
-    # T A - B T = 0 on the row-major vec(T): (I kron A^T - B kron I) vec(T)
-    ident = FMatrix.identity(f, n)
-    blocks = [f.sub_vec(kron(ident, A.T).a, kron(B, ident).a)
-              for A, B in zip(amats, bmats)]
-    ker = gauss(FMatrix(f, np.vstack(blocks))).kernel.a
-    if ker.shape[0] == 0:
-        return None
-    for row in ker:
-        T = FMatrix(f, row.reshape(n, n))
-        if T.rank() == n:
-            return T
-    for _ in range(30):
-        coeffs = np.array([rng.randrange(f.q) for _ in range(ker.shape[0])],
-                          dtype=np.int64)
-        comb_row = f.matmul(coeffs[None, :].astype(f.dtype),
-                            ker.astype(f.dtype))[0]
-        T = FMatrix(f, comb_row.reshape(n, n))
-        if T.rank() == n:
-            return T
-    return None

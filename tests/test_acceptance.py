@@ -19,8 +19,9 @@ from endotriv.etk import (SylowClasses, compute_K, is_endotrivial_char,
                           is_endotrivial_direct, tensor_power_class)
 from endotriv.ffla import FMatrix, field_make, gauss, solve_right
 from endotriv.grp import GroupTable, PermOps
-from endotriv.modrep import ModuleRep, brauer_quotient, jordan_profile
-from endotriv.split import HeckeEnd, algebra_radical, module_iso
+from endotriv.modrep import ModuleRep, brauer_quotient
+from endotriv.split import HeckeEnd, algebra_radical
+from testkit import jordan_profile, module_iso
 
 ANALYZED = ["A4", "A5", "A6", "A7", "PSL(2,7)", "PGL(2,9)", "PSL(2,11)",
             "PSL(2,13)", "3A6", "3A7", "C9*3A6"]

@@ -635,14 +635,44 @@ def test_pow_vec_and_frobenius(f):
     assert list(f.pow_vec(a, q)) == list(a)
 
 
-def test_gf2_bitpacked_agrees_with_generic():
+def _gf2_matrix(draw, rows, cols, kind):
+    """A 0/1 matrix: dense, sparse, all zero, or with repeated rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.uint8)
+    density = 0.08 if kind == "sparse" else 0.5
+    a = (rng.random((rows, cols)) < density).astype(np.uint8)
+    if kind == "duplicate" and rows:
+        a = a[rng.integers(0, max(1, rows // 3), size=rows)]
+    return a
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_gf2_bitpacked_agrees_with_generic(data):
+    """The packed GF(2) product, in both orientations, and the packed row
+    insertion agree with the same system embedded in GF(4), where the
+    packed path cannot apply.  Shapes run 0..80, tall ones far more rows
+    than columns, on dense, sparse, all-zero and duplicate-row inputs."""
     f2 = field_make(2, 1)
     f4 = field_make(2, 2)
-    rng = np.random.default_rng(21)
-    A2 = rng.integers(0, 2, size=(40, 33)).astype(f2.dtype)
-    B2 = rng.integers(0, 2, size=(33, 27)).astype(f2.dtype)
-    # embed the same system into GF(4), where the packed path cannot apply
-    C2 = f2.matmul(A2, B2)
-    C4 = f4.matmul(A2.astype(f4.dtype), B2.astype(f4.dtype))
-    assert np.array_equal(C2.astype(np.int64), C4.astype(np.int64))
-    assert gauss(FMatrix(f2, A2)).rank == gauss(FMatrix(f4, A2.astype(f4.dtype))).rank
+    kinds = st.sampled_from(["dense", "sparse", "zero", "duplicate"])
+    if data.draw(st.booleans()):
+        rows, k, cols = (data.draw(st.integers(0, 80)) for _ in range(3))
+    else:
+        rows = data.draw(st.integers(40, 80))
+        k, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    a = _gf2_matrix(data.draw, rows, k, data.draw(kinds))
+    b = _gf2_matrix(data.draw, k, cols, data.draw(kinds))
+    # (a, b) and (b^T, a^T) compare their nonzero counts the other way
+    # round, so one of the two runs the transposed product
+    for x, y in ((a, b), (b.T, a.T)):
+        got = f2.matmul(x, y)
+        assert got.dtype == f2.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, f4.matmul(x, y))
+    for m in (a, b):
+        g2 = gauss(FMatrix(f2, m))
+        g4 = gauss(FMatrix(f4, m.astype(f4.dtype)))
+        assert (g2.rank, g2.pivots) == (g4.rank, g4.pivots)
+        assert np.array_equal(g2.rref.a, g4.rref.a)
+        assert np.array_equal(g2.kernel.a, g4.kernel.a)

@@ -15,8 +15,9 @@ from endotriv.ffla import FMatrix, field_make, gauss, kron, solve_right
 from endotriv.grp import GroupTable, PermOps
 from endotriv.modrep import (BrauerQuotient, InducedContext, ModuleRep,
                              _maximal_subgroups, brauer_quotient,
-                             character_group, fixed_point_rows, jordan_profile,
+                             character_group, fixed_point_rows,
                              one_dim_module, subgroup_table)
+from testkit import jordan_profile
 
 
 def perm(degree, *cycles):

@@ -25,9 +25,10 @@ from endotriv.grp import GroupTable, PermOps
 from endotriv.modrep import InducedContext, character_group
 from endotriv.split import (HeckeEnd, algebra_radical, charpoly, chop,
                             composition_factor_dims, elem_symmetric_coeff,
-                            factor_poly, is_irreducible, module_iso, padd,
-                            pdeg, pdivmod, pgcd, pmod, pmonic, pmul, psub,
-                            pxgcd, spin, split_summands, squarefree_parts)
+                            factor_poly, is_irreducible, padd, pdeg,
+                            pdivmod, pgcd, pmod, pmonic, pmul, psub, pxgcd,
+                            spin, split_summands, squarefree_parts)
+from testkit import module_iso
 
 
 def perm(degree, *cycles):
@@ -244,6 +245,14 @@ def cyclic(n):
     return GroupTable(PermOps(n), [perm(n, tuple(range(n)))])
 
 
+def c5xc5():
+    return GroupTable(PermOps(10), [perm(10, (0, 1, 2, 3, 4)),
+                                    perm(10, (5, 6, 7, 8, 9))])
+
+
+# groups of RADICAL_CASES named by a marker in place of a cyclic order
+RADICAL_GROUPS = {"C5xC5": c5xc5, "D50": lambda: dihedral(50)}
+
 RADICAL_CASES = [
     # field, group order (cyclic) or marker, expected radical dim
     ((2, 1), 2, 1),
@@ -258,13 +267,19 @@ RADICAL_CASES = [
     ((2, 1), 16, 15),
     ((3, 1), 9, 8),
     ((5, 1), 25, 24),
+    # at p = 5 levels 0 and 1 keep the whole algebra, whose certificate
+    # fails, and level 2 ends the chain at J: C5 x C5 and D50, whose Sylow
+    # 5-subgroup is normal with quotient C2
+    ((5, 1), "C5xC5", 24),
+    ((5, 1), "D50", 48),
 ]
 
 
 @pytest.mark.parametrize("fe,n,want", RADICAL_CASES, ids=lambda v: str(v))
 def test_radical_group_algebras(fe, n, want):
     f = field_make(*fe)
-    regs = group_algebra_reg(f, cyclic(n))
+    table = cyclic(n) if isinstance(n, int) else RADICAL_GROUPS[n]()
+    regs = group_algebra_reg(f, table)
     J = algebra_radical(f, regs)
     assert J.a.shape[0] == want
     brute = brute_radical_dim(f, regs)
@@ -387,6 +402,133 @@ def test_radical_matches_charpoly_reference(pe, data, cells, seed):
     assert got.a.tolist() == reference_radical(f, regs).tolist()
 
 
+def full_chain_radical(f, regs):
+    """The radical by every level of the chain, p^i <= d, with no early
+    exit: the loop of algebra_radical on the same trace forms."""
+    d = len(regs)
+    flat = np.stack(regs).reshape(d, d * d).astype(f.dtype)
+    cur = np.eye(d, dtype=f.dtype)
+    i = 0
+    while f.p ** i <= d and cur.shape[0] > 0:
+        m = cur.shape[0]
+        mats = f.matmul(cur, flat).reshape(m, d, d)
+        gamma = np.zeros((m, m), dtype=f.dtype)
+        if i == 0:
+            for a in range(m):
+                for b in range(m):
+                    gamma[a, b] = f.sum_vec(np.diagonal(
+                        f.matmul(mats[a], mats[b])))
+        else:
+            pw = (f.p ** np.arange(f.e)).reshape(-1, 1, 1, 1)
+            digits = mats.astype(np.int64) // pw % f.p
+            for a in range(m):
+                for b in range(a, m):
+                    val = split._trace_form(f, digits[:, a:a + 1],
+                                            digits[:, b:b + 1], i)[0]
+                    gamma[a, b] = gamma[b, a] = val
+        eta = gauss(FMatrix(f, gamma.T)).kernel.a.astype(np.int64)
+        xi = f.pow_vec(eta, f.p ** ((-i) % f.e))
+        red = gauss(FMatrix(f, f.matmul(xi, cur)))
+        cur = red.rref.a[: red.rank]
+        i += 1
+    return cur
+
+
+@given(st.sampled_from(ORACLE_FIELDS), st.data(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_early_exit_radical_matches_full_chain(pe, data, seed):
+    f = field_make(*pe)
+    build = data.draw(st.sampled_from(ORACLE_GROUPS[f.p]))
+    regs = random_basis(f, group_algebra_reg(f, build()),
+                        np.random.default_rng(seed))
+    got = algebra_radical(f, regs)
+    assert got.a.tolist() == full_chain_radical(f, regs).tolist()
+
+
+def matrix_units(f, n):
+    """Left-regular matrices of M_n(k) on the basis E_11, E_12, ..., E_nn."""
+    d = n * n
+    regs = []
+    for i, j in itertools.product(range(n), repeat=2):
+        L = np.zeros((d, d), dtype=f.dtype)
+        # E_ij E_jl = E_il
+        for l in range(n):
+            L[i * n + l, j * n + l] = 1
+        regs.append(L)
+    return regs
+
+
+def certify(f, regs, rows):
+    """_nilpotent_left_ideal on the span of rows, brought to RREF."""
+    red = gauss(FMatrix(f, np.asarray(rows, dtype=f.dtype)))
+    return split._nilpotent_left_ideal(f, np.stack(regs).astype(f.dtype),
+                                       red.rref.a[: red.rank], red.pivots)
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 1), (2, 2)])
+def test_certificate_refuses_nilpotent_non_ideal_and_idempotent_ideal(pe):
+    f = field_make(*pe)
+    regs = matrix_units(f, 2)
+    # span(E_12) squares to 0, but E_21 E_12 = E_22 leaves it
+    assert not certify(f, regs, [[0, 1, 0, 0]])
+    # the first column, span(E_11, E_21), is a left ideal equal to its square
+    assert not certify(f, regs, [[1, 0, 0, 0], [0, 0, 1, 0]])
+    assert not certify(f, regs, np.eye(4, dtype=np.int64))
+    assert certify(f, regs, np.zeros((0, 4), dtype=np.int64))
+    # in the upper triangular algebra span(E_11, E_12, E_22), E_12 spans J
+    tri = [regs[k][np.ix_([0, 1, 3], [0, 1, 3])] for k in (0, 1, 3)]
+    assert certify(f, tri, [[0, 1, 0]])
+    assert not certify(f, tri, [[1, 1, 0]])
+
+
+def test_certificate_stops_when_the_rank_stops_falling():
+    """A non-nilpotent left ideal is refused after one power, not after
+    rank-many: the chain stops at the first step that does not shrink."""
+    f = field_make(2, 1)
+    regs = group_algebra_reg(f, cyclic(8))
+    calls = []
+
+    def counted(M):
+        calls.append(M.a.shape)
+        if len(calls) > 3:
+            raise AssertionError("the power chain did not stop")
+        return gauss(M)
+
+    with mock.patch.object(split, "gauss", counted):
+        assert not certify(f, regs, np.eye(8, dtype=np.int64))
+    assert len(calls) == 1
+    # the augmentation ideal of C8 is nilpotent: its powers have ranks
+    # 6, 5, ..., 0, one gauss each
+    J = algebra_radical(f, regs)
+    with mock.patch.object(split, "gauss", side_effect=gauss) as spy:
+        assert certify(f, regs, J.a)
+    assert spy.call_count == 7
+
+
+def test_radical_refuses_an_uncertified_last_level():
+    """Over GF(5) a 2-dimensional input runs level 0 only, so the end of
+    the chain is its only test.  These left-multiplication matrices come
+    from a product that is not associative; their trace form vanishes on a
+    space that is not nilpotent, and the radical raises."""
+    f = field_make(5, 1)
+    regs = [np.array([[1, 0], [0, 2]]), np.zeros((2, 2), dtype=np.int64)]
+    with pytest.raises(RuntimeError, match="not a nilpotent left ideal"):
+        algebra_radical(f, regs)
+
+
+def test_radical_certifies_at_the_first_repeated_dimension():
+    """The full chain of C10 over GF(2) has levels 0..3.  Level 2 repeats
+    the dimension of level 1, J = k C5 (1 + g^5), so the chain certifies it
+    there and level 3 never runs."""
+    f = field_make(2, 1)
+    regs = group_algebra_reg(f, cyclic(10))
+    with mock.patch.object(split, "_trace_form",
+                           side_effect=split._trace_form) as spy:
+        J = algebra_radical(f, regs)
+    assert J.a.shape[0] == 5
+    assert {c.args[3] for c in spy.call_args_list} == {1, 2}
+
+
 CHECKS_UNDER_O = """
 import numpy as np
 from endotriv import split
@@ -427,6 +569,11 @@ def corrupted(self, x, y, N, trace=False):
 FieldTable.ring_matmul = corrupted
 report(lambda: split.algebra_radical(f2, regs))
 FieldTable.ring_matmul = real
+# a trace form that vanishes keeps I_i = A at every level
+real_form = split._trace_form
+split._trace_form = lambda f, a, b, i: np.zeros(a.shape[1], dtype=f.dtype)
+report(lambda: split.algebra_radical(f2, regs))
+split._trace_form = real_form
 report(lambda: split.pdivmod(f2, np.array([1, 1]), np.array([], dtype=np.int64)))
 G = GroupTable(PermOps(5), [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
 ctx = InducedContext(G, G.normalizer(G.sylow(2)))
@@ -439,14 +586,17 @@ report(lambda: split.HeckeEnd(ctx, lam))
 
 
 def test_checks_hold_under_python_O(src_env):
-    """With asserts stripped, a corrupted level-1 trace, a division by the
-    zero polynomial and a Hecke basis without the identity double coset
-    first still raise."""
+    """With asserts stripped, a corrupted level-1 trace, a radical chain
+    whose last level is not a nilpotent left ideal, a division by the zero
+    polynomial and a Hecke basis without the identity double coset first
+    still raise."""
     proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O],
                           capture_output=True, env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().splitlines() == [
         "False RuntimeError a level-1 trace is not divisible by 2^1",
+        "False RuntimeError the last radical level, of dimension 4, is not "
+        "a nilpotent left ideal",
         "False ValueError polynomial division by zero",
         "False RuntimeError the double coset of 1 is not the first "
         "lambda-good double coset"]
