@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .catalog import build_group, entries
@@ -19,18 +18,6 @@ from .split import NeedSplittingField
 
 SCHEMA = 1
 MAX_FIELD_RETRIES = 3
-
-
-@dataclass
-class RunConfig:
-    group: str
-    prime: int = 2
-    field_degree: Optional[int] = None
-    seed: int = 0
-    tensor_power: Optional[int] = None
-    tensor_budget: int = TENSOR_LITERAL_CAP
-    output_format: str = "json"
-    check_theorem: bool = False
 
 
 def choose_field_degree(table, p: int) -> int:
@@ -69,21 +56,24 @@ def report_dict(res: KReport, group_name: str, seed: int,
     }
 
 
-def run(config: RunConfig) -> tuple[dict, int]:
+def run(group: str, prime: int = 2, field_degree: Optional[int] = None,
+        seed: int = 0, tensor_power: Optional[int] = None,
+        tensor_budget: int = TENSOR_LITERAL_CAP,
+        check_theorem: bool = False) -> tuple[dict, int]:
     """Full analysis; returns the report and the process exit code."""
-    p = config.prime
+    p = prime
     # field_make rejects a non-prime p and a degree below 1; checked before
     # the group is built, where a non-prime p would stall the Sylow search
-    field_make(p, 1 if config.field_degree is None else config.field_degree)
-    table, entry = build_group(config.group)
+    field_make(p, 1 if field_degree is None else field_degree)
+    table, entry = build_group(group)
     if table.order % p != 0:
         raise ValueError(f"prime {p} does not divide the group order "
                          f"{table.order}")
-    e = config.field_degree or choose_field_degree(table, p)
+    e = field_degree or choose_field_degree(table, p)
     res = None
     for attempt in range(MAX_FIELD_RETRIES + 1):
         try:
-            res = compute_K(table, p, field_make(p, e), seed=config.seed)
+            res = compute_K(table, p, field_make(p, e), seed=seed)
             break
         except NeedSplittingField:
             if attempt == MAX_FIELD_RETRIES:
@@ -96,11 +86,11 @@ def run(config: RunConfig) -> tuple[dict, int]:
     for name in failed_checks:
         caveats.append(f"check_failed:{name}")
 
-    name = entry.name if entry else config.group
-    report = report_dict(res, name, config.seed, caveats)
+    name = entry.name if entry else group
+    report = report_dict(res, name, seed, caveats)
     code = 1 if failed_checks else 0
 
-    if config.check_theorem:
+    if check_theorem:
         if entry is not None and entry.expectation is not None:
             bad = theorem_check(res, entry.expectation)
             report["theorem_check"] = {
@@ -117,14 +107,13 @@ def run(config: RunConfig) -> tuple[dict, int]:
                 "pass": None,
             }
 
-    if config.tensor_power is not None:
+    if tensor_power is not None:
         section = []
         for r in res.records:
             if not r.endotrivial:
                 continue
             section.append(tensor_power_class(
-                res, r.exps, config.tensor_power,
-                budget=config.tensor_budget))
+                res, r.exps, tensor_power, budget=tensor_budget))
         report["tensor_power"] = section
     return report, code
 
@@ -212,17 +201,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"{r['name']:12s} order {r['order']:5d}  {r['summary']}")
         return 0
 
-    config = RunConfig(
-        group=args.group, prime=args.prime, field_degree=args.field_degree,
-        seed=args.seed, tensor_power=args.tensor_power,
-        tensor_budget=args.tensor_budget, output_format=args.format,
-        check_theorem=args.check_theorem)
     try:
-        report, code = run(config)
+        report, code = run(
+            args.group, prime=args.prime, field_degree=args.field_degree,
+            seed=args.seed, tensor_power=args.tensor_power,
+            tensor_budget=args.tensor_budget, check_theorem=args.check_theorem)
     except Exception as exc:  # surface anything as exit 1 with a message
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    emit(report, config.output_format, sys.stdout)
+    emit(report, args.format, sys.stdout)
     return code
 
 

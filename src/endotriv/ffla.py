@@ -1,11 +1,15 @@
 """Exact dense linear algebra over small finite fields GF(p^e) with p^e <= 2^16.
 
-Field elements are stored as integer codes: the code of sum(d_i * x^i) is
-sum(d_i * p^i) with digits 0 <= d_i < p, so code arithmetic never carries
-between digits.  Multiplication runs through discrete log/exp tables over a
-fixed primitive polynomial, in zero-absorbing form: log[0] = 2(q-1), and exp
-has 4(q-1)+1 entries, gen^(k mod (q-1)) below 2(q-1) and 0 from there on.
-The log-sum of two units stays below 2(q-1), and any sum involving a zero
+Field elements are stored as integer codes in the field dtype (uint8 up to
+q = 256, uint16 above): the code of sum(d_i * x^i) is sum(d_i * p^i) with
+digits 0 <= d_i < p.  ``FieldTable.digits`` and ``FieldTable.codes`` are the
+codec between codes and their (e, ...) digit stacks; in odd
+characteristic every addition, negation, subtraction and sum of codes is one
+pass through it (the scalar ops are 0-d calls of the vector ops), and in
+characteristic 2 addition is XOR of codes.  Multiplication runs through
+discrete log/exp tables over a fixed primitive polynomial, in
+zero-absorbing form: log[0] = 2(q-1), and exp has 4(q-1)+1 entries,
+gen^(k mod (q-1)) below 2(q-1) and 0 from there on.  The log-sum of two units stays below 2(q-1), and any sum involving a zero
 lands at 2(q-1) or above, so every product, scalar or broadcast, is the one
 lookup exp[log[a] + log[b]] with no zero mask and no reduction.  The tables
 hold about 5q entries, 1 MiB at the largest field q = 2^16, so this one path
@@ -27,11 +31,10 @@ which costs CPU on mid-size products and gains little wall time.  The thread
 count is set to one around the products and restored after, and cannot
 change a result, since every packed slot sum is an exact integer.
 
-Row reduction (``gauss``) for q > 2 works in the field dtype (uint8/uint16)
-with no int64 copy.  Each pivot updates only the columns from the pivot
-column on, since everything left of it is already reduced, and in
-characteristic 2, where addition of codes is XOR, the update is applied in
-place with ``^=``.
+Row reduction (``gauss``) for q > 2 works on a copy in the field dtype.
+Each pivot updates only the columns from the pivot column on, since
+everything left of it is already reduced, and in characteristic 2, where
+addition of codes is XOR, the update is applied in place with ``^=``.
 """
 from __future__ import annotations
 
@@ -177,7 +180,7 @@ class FieldTable:
             log[exp[k]] = k for k < q-1 and log[0] = 2(q-1).
     """
 
-    def __init__(self, p: int, e: int, poly: Optional[tuple[int, ...]] = None):
+    def __init__(self, p: int, e: int):
         if e < 1:
             raise ValueError("extension degree must be >= 1")
         if p <= MAX_Q and not _is_prime(p):
@@ -191,8 +194,11 @@ class FieldTable:
         self.e = e
         self.q = q
         self.dtype = np.uint8 if q <= 256 else np.uint16
-        if poly is None:
-            poly = _PRIMITIVE_POLYS.get((p, e))
+        # p^u for digit u, in a signed dtype that holds a digit sum or
+        # difference of two codes (see ``digits``)
+        self._pw = np.array([p**u for u in range(e)],
+                            dtype=np.int16 if q <= 256 else np.int32)
+        poly = _PRIMITIVE_POLYS.get((p, e))
         if poly is not None:
             powers = self._unit_powers(poly)
             if powers is None:
@@ -267,23 +273,16 @@ class FieldTable:
             self._reds[N] = red
         return red
 
-    # -- scalar ops -----------------------------------------------------------
+    # -- scalar ops: 0-d calls of the vector ops for addition ----------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        da = _code_to_digits(a, self.p, self.e)
-        db = _code_to_digits(b, self.p, self.e)
-        return _digits_to_code([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        return int(self.add_vec(a, b))
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        da = _code_to_digits(a, self.p, self.e)
-        return _digits_to_code([(-x) % self.p for x in da], self.p)
+        return int(self.neg_vec(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.sub_vec(a, b))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.exp[self.log[a] + self.log[b]])
@@ -312,37 +311,49 @@ class FieldTable:
                                f"gen^((q-1)/{m}) has order other than {m}")
         return z
 
-    # -- vectorized ops on code arrays ---------------------------------------
+    # -- the digit codec, and vectorized ops on code arrays ------------------
+
+    def digits(self, a) -> np.ndarray:
+        """The base-p digits of a code array, shape (e, *a.shape): entry u
+        is the coefficient of x^u.  Codes in the field dtype give digits in
+        a signed dtype wide enough for the sum or difference of two digit
+        stacks (int16 up to q = 256, int32 above); wider codes keep theirs."""
+        a = np.asarray(a)
+        return a // self._pw.reshape((-1,) + (1,) * a.ndim) % self.p
+
+    def codes(self, d: np.ndarray) -> np.ndarray:
+        """Codes, in the field dtype, of an integer digit stack (e, ...),
+        each digit taken mod p.  Works in place: d is overwritten."""
+        d %= self.p
+        for u in range(self.e - 1, 0, -1):
+            d[u - 1] += d[u] * self.p
+        return d[0, ...].astype(self.dtype)
+
+    def _digit_pair(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        a, b = np.asarray(a), np.asarray(b)
+        if a.ndim != b.ndim:
+            a, b = np.broadcast_arrays(a, b)
+        return self.digits(a), self.digits(b)
 
     def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
             # codes add by XOR in any integer dtype; no int64 widening
             return np.bitwise_xor(a, b).astype(self.dtype, copy=False)
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.e):
-            da = (a // pk) % self.p
-            db = (b // pk) % self.p
-            out += ((da + db) % self.p) * pk
-            pk *= self.p
-        return out.astype(self.dtype)
+        da, db = self._digit_pair(a, b)
+        da += db
+        return self.codes(da)
 
     def neg_vec(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
         if self.p == 2:
-            return a.astype(self.dtype)
-        out = np.zeros(a.shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.e):
-            da = (a // pk) % self.p
-            out += ((-da) % self.p) * pk
-            pk *= self.p
-        return out.astype(self.dtype)
+            return np.asarray(a).astype(self.dtype)
+        return self.codes(-self.digits(a))
 
     def sub_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.add_vec(a, self.neg_vec(b))
+        if self.p == 2:
+            return np.bitwise_xor(a, b).astype(self.dtype, copy=False)
+        da, db = self._digit_pair(a, b)
+        da -= db
+        return self.codes(da)
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.exp[self.log[a] + self.log[b]]
@@ -361,17 +372,14 @@ class FieldTable:
         return self.pow_vec(a, self.p)
 
     def sum_vec(self, a: np.ndarray, axis=None) -> np.ndarray:
-        """Field sum along an axis of a code array."""
-        a = np.asarray(a, dtype=np.int64)
+        """Field sum along an axis of a code array (of all of it for None)."""
+        a = np.asarray(a)
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis).astype(self.dtype)
-        out = 0
-        pk = 1
-        for _ in range(self.e):
-            da = (a // pk) % self.p
-            out = out + (da.sum(axis=axis) % self.p) * pk
-            pk *= self.p
-        return np.asarray(out, dtype=self.dtype)
+        d = self.digits(a)
+        if axis is None:
+            return self.codes(d.reshape(self.e, -1).sum(1))
+        return self.codes(d.sum(axis + 1 if axis >= 0 else axis))
 
     # -- matrix products ------------------------------------------------------
 
@@ -394,9 +402,7 @@ class FieldTable:
         b*t .. b*t+t-1 of the code s bits apart into one float64."""
         enc = self._packings.get((t, s))
         if enc is None:
-            codes = np.arange(self.q)
-            enc = _pack(np.stack([codes // self.p**i % self.p
-                                  for i in range(self.e)]), t, s)
+            enc = _pack(self.digits(np.arange(self.q, dtype=self.dtype)), t, s)
             self._packings[t, s] = enc
         return enc
 
@@ -546,17 +552,11 @@ class FieldTable:
             if np.gcd(c, sub.q - 1) != 1:
                 continue
             table = np.zeros(sub.q, dtype=np.int64)
-            for k in range(sub.q - 1):
-                table[sub.exp[k]] = self.exp[(k * c * step) % (self.q - 1)]
-            ok = True
-            for x in range(sub.q):
-                if not ok:
-                    break
-                for y in range(sub.q):
-                    if table[sub.add(x, y)] != self.add(int(table[x]), int(table[y])):
-                        ok = False
-                        break
-            if ok:
+            k = np.arange(sub.q - 1)
+            table[sub.exp[k]] = self.exp[k * c * step % (self.q - 1)]
+            x = np.arange(sub.q)
+            if np.array_equal(table[sub.add_vec(x[:, None], x)],
+                              self.add_vec(table[:, None], table)):
                 self._embed_cache[key] = table
                 return table
         raise ValueError("no additive embedding found")
@@ -632,7 +632,7 @@ class FMatrix:
         return FMatrix(self.field, self.field.neg_vec(self.a))
 
     def scale(self, c: int) -> "FMatrix":
-        return FMatrix(self.field, self.field.mul_vec(self.a, np.int64(c)))
+        return FMatrix(self.field, self.field.mul_vec(self.a, c))
 
     def __eq__(self, other) -> bool:
         return (
@@ -726,7 +726,7 @@ def gauss(M: FMatrix) -> GaussResult:
             piv = row + int(nz[0])
             if piv != row:
                 work[[row, piv], col:] = work[[piv, row], col:]
-            prow = field.mul_vec(work[row, col:], np.int64(field.inv(int(work[row, col]))))
+            prow = field.mul_vec(work[row, col:], field.inv(int(work[row, col])))
             work[row, col:] = prow
             others = work[:, col].nonzero()[0]
             others = others[others != row]

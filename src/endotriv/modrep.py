@@ -73,15 +73,14 @@ class LinearCharacter:
         self.field = field
         self.exps = tuple(int(a) % d for a, d in zip(exps, ab.orders))
         roots = [field.root_of_unity(d) for d in ab.orders]
-        vals = np.ones(ntable.order, dtype=np.int64)
+        vals = np.ones(ntable.order, dtype=field.dtype)
         for j, (r, a) in enumerate(zip(roots, self.exps)):
             if a == 0:
                 continue
             # value contribution zeta_d^(a * coordinate); exponentiate via logs
             lstep = int(field.log[field.pow(r, a)])
-            col = ab.proj[:, j].astype(np.int64)
-            contrib = field.exp[(lstep * col) % (field.q - 1)]
-            vals = field.mul_vec(vals, contrib.astype(np.int64)).astype(np.int64)
+            contrib = field.exp[(lstep * ab.proj[:, j]) % (field.q - 1)]
+            vals = field.mul_vec(vals, contrib)
         self.vals = vals
 
     @property
@@ -289,7 +288,7 @@ class InducedContext:
 
     def lambda_on_g(self, lam: LinearCharacter) -> np.ndarray:
         """Array over G of lambda(npart-product) used by Hecke evaluation."""
-        vals = np.zeros(self.G.order, dtype=np.int64)
+        vals = np.zeros(self.G.order, dtype=lam.field.dtype)
         mask = self.nnprod >= 0
         vals[mask] = lam.vals[self.g2n[self.nnprod[mask]]]
         return vals
@@ -422,7 +421,7 @@ class BrauerQuotient:
             raise RuntimeError(f"the elements {list(gs)} do not all act on the "
                                "Brauer quotient; they must normalize the subgroup")
         vals = f.matmul(lam[None, :], c)[0]
-        return f.mul_vec(vals, np.int64(f.inv(int(lam[j])))).tolist()
+        return f.mul_vec(vals, f.inv(int(lam[j]))).tolist()
 
 
 _MAXIMAL: "weakref.WeakKeyDictionary[GroupTable, dict]" = weakref.WeakKeyDictionary()

@@ -34,7 +34,10 @@ J(eAe) = e J(A) e.  A Krylov minimal polynomial is one Gauss-Jordan on the
 columns v, z v, ..., z^n v, and its rows give an idempotent polynomial in a
 corner element x as one product with e, x, x^2, ...  A summand with
 idempotent E = C R (C its pivot columns, R its RREF rows) has R C = 1, so a
-generator g acts on it as R (g C).
+generator g acts on it as R (g C).  ``chop`` reads the actions on an
+invariant subspace and its quotient at the pivot columns of the subspace's
+RREF, with no change-of-basis inverse.  Every code array here, polynomials
+and algebra elements included, is in the field dtype.
 
 All randomized steps draw from an explicitly passed random.Random, so a run
 is reproducible from its seed.
@@ -72,8 +75,8 @@ class NeedSplittingField(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over a FieldTable: int64 arrays of codes, ascending
-# degree, no trailing zeros (zero polynomial is length 0)
+# dense polynomials over a FieldTable: arrays of codes in the field dtype,
+# ascending degree, no trailing zeros (zero polynomial is length 0)
 
 def pstrip(a: np.ndarray) -> np.ndarray:
     nz = np.nonzero(a)[0]
@@ -88,30 +91,26 @@ def pdeg(a: np.ndarray) -> int:
 
 def padd(f: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = max(len(a), len(b))
-    out = np.zeros(n, dtype=np.int64)
+    out = np.zeros(n, dtype=f.dtype)
     out[: len(a)] = a
     out[: len(b)] = f.add_vec(out[: len(b)], b)
     return pstrip(out)
 
 
-def pneg(f: FieldTable, a: np.ndarray) -> np.ndarray:
-    return f.neg_vec(a).astype(np.int64)
-
-
 def psub(f: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return padd(f, a, pneg(f, b))
+    return padd(f, a, f.neg_vec(b))
 
 
 def pscale(f: FieldTable, c: int, a: np.ndarray) -> np.ndarray:
     if c == 0:
         return a[:0]
-    return f.mul_vec(np.int64(c), a).astype(np.int64)
+    return f.mul_vec(c, a)
 
 
 def pmul(f: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) == 0 or len(b) == 0:
         return a[:0]
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+    out = np.zeros(len(a) + len(b) - 1, dtype=f.dtype)
     for i, c in enumerate(a):
         if c:
             out[i: i + len(b)] = f.add_vec(out[i: i + len(b)],
@@ -125,7 +124,7 @@ def pdivmod(f: FieldTable, a: np.ndarray, b: np.ndarray
         raise ValueError("polynomial division by zero")
     a = a.copy()
     binv = f.inv(int(b[-1]))
-    q = np.zeros(max(len(a) - len(b) + 1, 0), dtype=np.int64)
+    q = np.zeros(max(len(a) - len(b) + 1, 0), dtype=f.dtype)
     while len(a) >= len(b):
         c = f.mul(int(a[-1]), binv)
         k = len(a) - len(b)
@@ -154,7 +153,7 @@ def pgcd(f: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def pxgcd(f: FieldTable, a: np.ndarray, b: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, u, v) with u a + v b = g, g monic gcd."""
-    one = np.array([1], dtype=np.int64)
+    one = np.array([1], dtype=f.dtype)
     zero = one[:0]
     r0, r1 = a, b
     u0, u1 = one, zero
@@ -173,11 +172,11 @@ def pxgcd(f: FieldTable, a: np.ndarray, b: np.ndarray
 def pderiv(f: FieldTable, a: np.ndarray) -> np.ndarray:
     # the field element k * 1 has the code k mod p
     ks = np.arange(1, len(a)) % f.p
-    return pstrip(f.mul_vec(a[1:], ks).astype(np.int64))
+    return pstrip(f.mul_vec(a[1:], ks))
 
 
 def ppow_mod(f: FieldTable, a: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
-    out = np.array([1], dtype=np.int64)
+    out = np.array([1], dtype=f.dtype)
     a = pmod(f, a, m)
     while n:
         if n & 1:
@@ -191,10 +190,10 @@ def pth_root_poly(f: FieldTable, a: np.ndarray) -> np.ndarray:
     """For a = h(t^p), return h with p-th roots taken on coefficients."""
     if (len(a) - 1) % f.p != 0:
         raise ValueError(f"degree {len(a) - 1} is not a multiple of p = {f.p}")
-    coeffs = a[:: f.p].astype(np.int64)
+    coeffs = a[:: f.p]
     # p-th root on F_q is Frobenius applied e-1 times
     for _ in range(f.e - 1):
-        coeffs = f.frobenius_vec(coeffs).astype(np.int64)
+        coeffs = f.frobenius_vec(coeffs)
     return pstrip(coeffs)
 
 
@@ -229,7 +228,7 @@ def squarefree_parts(f: FieldTable, a: np.ndarray) -> list[tuple[np.ndarray, int
 def _ddf(f: FieldTable, a: np.ndarray) -> list[tuple[np.ndarray, int]]:
     """Distinct-degree split of a squarefree monic poly: [(product, d)]."""
     out = []
-    t = np.array([0, 1], dtype=np.int64)
+    t = np.array([0, 1], dtype=f.dtype)
     h = t.copy()
     d = 0
     while pdeg(a) > 0:
@@ -252,7 +251,7 @@ def _edf(f: FieldTable, a: np.ndarray, d: int, rng: random.Random
     if pdeg(a) == d:
         return [pmonic(f, a)]
     while True:
-        r = np.array([rng.randrange(f.q) for _ in range(pdeg(a))], dtype=np.int64)
+        r = np.array([rng.randrange(f.q) for _ in range(pdeg(a))], dtype=f.dtype)
         r = pstrip(r)
         if pdeg(r) < 1:
             continue
@@ -266,7 +265,7 @@ def _edf(f: FieldTable, a: np.ndarray, d: int, rng: random.Random
             g = pgcd(f, s, a)
         else:
             b = ppow_mod(f, r, (f.q ** d - 1) // 2, a)
-            g = pgcd(f, psub(f, b, np.array([1], dtype=np.int64)), a)
+            g = pgcd(f, psub(f, b, np.array([1], dtype=f.dtype)), a)
         if 0 < pdeg(g) < pdeg(a):
             left = _edf(f, g, d, rng)
             right = _edf(f, pdivmod(f, a, g)[0], d, rng)
@@ -283,7 +282,7 @@ def factor_poly(f: FieldTable, a: np.ndarray, rng: random.Random
             for irr in _edf(f, prod, d, rng):
                 key = tuple(int(v) for v in irr)
                 found[key] = found.get(key, 0) + mult
-    items = [(np.array(k, dtype=np.int64), m) for k, m in found.items()]
+    items = [(np.array(k, dtype=f.dtype), m) for k, m in found.items()]
     items.sort(key=lambda t: (len(t[0]), tuple(int(v) for v in t[0])))
     return items
 
@@ -297,7 +296,7 @@ def charpoly(f: FieldTable, M: np.ndarray) -> np.ndarray:
     """Monic characteristic polynomial (ascending coefficients, length n+1)
     via Hessenberg reduction."""
     n = M.shape[0]
-    H = M.astype(np.int64).copy()
+    H = M.astype(f.dtype)
     for j in range(n - 2):
         piv = None
         for i in range(j + 1, n):
@@ -313,18 +312,18 @@ def charpoly(f: FieldTable, M: np.ndarray) -> np.ndarray:
         for i in range(j + 2, n):
             if H[i, j]:
                 c = f.mul(int(H[i, j]), inv)
-                H[i, :] = f.sub_vec(H[i, :], f.mul_vec(np.int64(c), H[j + 1, :]))
-                H[:, j + 1] = f.add_vec(H[:, j + 1], f.mul_vec(np.int64(c), H[:, i]))
+                H[i, :] = f.sub_vec(H[i, :], f.mul_vec(c, H[j + 1, :]))
+                H[:, j + 1] = f.add_vec(H[:, j + 1], f.mul_vec(c, H[:, i]))
     # p_k(t) = (t - H[k-1,k-1]) p_{k-1} - sum_i H[i-1,k-1] (prod subdiag) p_{i-1}
-    polys = [np.array([1], dtype=np.int64)]
+    polys = [np.array([1], dtype=f.dtype)]
     for k in range(1, n + 1):
         prev = polys[k - 1]
-        term = np.zeros(k + 1, dtype=np.int64)
+        term = np.zeros(k + 1, dtype=f.dtype)
         term[1:] = prev
         c0 = int(H[k - 1, k - 1])
         if c0:
             term[: len(prev)] = f.sub_vec(term[: len(prev)],
-                                          f.mul_vec(np.int64(c0), prev))
+                                          f.mul_vec(c0, prev))
         run = 1
         for i in range(k - 1, 0, -1):
             run = f.mul(run, int(H[i, i - 1]))
@@ -385,7 +384,7 @@ def _trace_form(f: FieldTable, a: np.ndarray, b: np.ndarray, i: int
     tr = f.ring_matmul(_ring_pow(f, N, x, p - 1), x, N, trace=True)
     if (tr % p ** i).any():
         raise RuntimeError(f"a level-{i} trace is not divisible by {p}^{i}")
-    return (p ** np.arange(f.e) @ (tr // p ** i)).astype(f.dtype)
+    return f.codes(tr // p ** i)
 
 
 def _nilpotent_left_ideal(f: FieldTable, reg: np.ndarray, ideal: np.ndarray,
@@ -395,10 +394,11 @@ def _nilpotent_left_ideal(f: FieldTable, reg: np.ndarray, ideal: np.ndarray,
     ``ideal`` is in RREF with pivot columns ``pivots``, and ``reg`` is the
     (d, d, d) stack of the left-regular matrices L_k.  A I <= I holds when
     every row s L_k^T = (L_k s)^T equals its entries at the pivots times
-    ``ideal``: one stacked product and one more for the reduction.  Then I^(k+1) = I I^k <= I^k, and the
-    rows x L_s^T = (s x)^T for x in I^k and s in I span I^(k+1): one
-    stacked product and one ``gauss`` per step.  I is nilpotent when the
-    chain reaches 0, and is not once its rank stops falling.
+    ``ideal``: one stacked product and one more for the reduction.  Then
+    I^(k+1) = I I^k <= I^k, and the rows x L_s^T = (s x)^T for x in I^k
+    and s in I span I^(k+1): one stacked product and one ``gauss`` per
+    step.  I is nilpotent when the chain reaches 0, and is not once its
+    rank stops falling.
     """
     r, d = ideal.shape
     if r == 0:
@@ -474,12 +474,10 @@ def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
     in random bases over GF(4), GF(8), GF(9) and GF(25).
     """
     d = len(reg)
-    stack = np.stack(reg).astype(f.dtype)
+    stack = np.asarray(reg, dtype=f.dtype)
     flat = stack.reshape(d, d * d)
     cur = np.eye(d, dtype=f.dtype)
     pivots = tuple(range(d))
-    # pw[u] = p^u: digit u of a code is the coefficient of t^u in its lift
-    pw = (f.p ** np.arange(f.e)).astype(f.dtype).reshape(-1, 1, 1, 1)
     i = 0
     tested = False
     while f.p ** i <= d:
@@ -489,7 +487,8 @@ def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
             flat_t = mats.transpose(0, 2, 1).reshape(m, d * d)
             gamma = f.matmul(mats.reshape(m, d * d), flat_t.T)
         else:
-            digits = mats // pw % f.p
+            # digit u of a code is the coefficient of t^u in its lift
+            digits = f.digits(mats)
             gamma = np.zeros((m, m), dtype=f.dtype)
             ia, ib = np.triu_indices(m)
             step = max(1, RADICAL_PASS_CELLS // (d * d))
@@ -498,7 +497,7 @@ def algebra_radical(f: FieldTable, reg: Sequence[np.ndarray]) -> FMatrix:
                 vals = _trace_form(f, digits[:, ca], digits[:, cb], i)
                 gamma[ca, cb] = vals
                 gamma[cb, ca] = vals
-        eta = gauss(FMatrix(f, gamma.T)).kernel.a.astype(np.int64)
+        eta = gauss(FMatrix(f, gamma.T)).kernel.a
         if eta.shape[0] == 0:
             return FMatrix(f, cur[:0])
         shift = (-i) % f.e
@@ -550,7 +549,7 @@ class HeckeEnd:
         # structure constants c[d][a, b] with F_a F_b = sum_d c F_d,
         # via c = sum over cosets t_j of F_a(rep_d t_j^-1) F_b(t_j)
         m_f = np.ascontiguousarray(self.fvals[:, trans].T)
-        self.structure = np.zeros((self.dim_alg,) * 3, dtype=np.int64)
+        self.structure = np.zeros((self.dim_alg,) * 3, dtype=f.dtype)
         for dpos, dcid in enumerate(self.good):
             row = pair[ctx.dc_rep_coset(dcid)]
             self.structure[dpos] = f.matmul(self.fvals[:, row], m_f)
@@ -558,7 +557,7 @@ class HeckeEnd:
         if self.good[0] != 0:
             raise RuntimeError("the double coset of 1 is not the first "
                                "lambda-good double coset")
-        self.unit = np.zeros(self.dim_alg, dtype=np.int64)
+        self.unit = np.zeros(self.dim_alg, dtype=f.dtype)
         self.unit[0] = 1
         # the structure tensor laid out for contraction with coordinate rows:
         # x @ _left is L_x flattened (L_x[d, b] = sum_a c[d, a, b] x_a), the
@@ -566,14 +565,13 @@ class HeckeEnd:
         # (R_x[d, a] = sum_b c[d, a, b] x_b)
         dd = self.dim_alg * self.dim_alg
         self._left = np.ascontiguousarray(
-            self.structure.transpose(1, 0, 2)).reshape(-1, dd).astype(f.dtype)
+            self.structure.transpose(1, 0, 2)).reshape(-1, dd)
         self._right = np.ascontiguousarray(
-            self.structure.transpose(2, 0, 1)).reshape(-1, dd).astype(f.dtype)
+            self.structure.transpose(2, 0, 1)).reshape(-1, dd)
 
     def _contract(self, layout: np.ndarray, xs: np.ndarray) -> np.ndarray:
         n = self.dim_alg
-        return self.f.matmul(np.atleast_2d(xs).astype(self.f.dtype),
-                             layout).reshape(-1, n, n)
+        return self.f.matmul(np.atleast_2d(xs), layout).reshape(-1, n, n)
 
     def left_mul(self, x: np.ndarray) -> np.ndarray:
         """L_x: the matrix of y -> x y on coordinate columns."""
@@ -584,15 +582,13 @@ class HeckeEnd:
         return self._contract(self._right, x)[0]
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        f = self.f
-        return f.matmul(y.astype(f.dtype)[None, :],
-                        self.left_mul(x).T)[0].astype(np.int64)
+        return self.f.matmul(y[None, :], self.left_mul(x).T)[0]
 
     def realize(self, x: np.ndarray) -> FMatrix:
         """sum_a x_a F_a as a dim x dim matrix: the values of that function
         on G, one contraction with fvals, gathered at t_i t_j^-1."""
         f = self.f
-        vals = f.matmul(np.asarray(x).astype(f.dtype)[None, :], self.fvals)[0]
+        vals = f.matmul(np.asarray(x)[None, :], self.fvals)[0]
         return FMatrix(f, vals[self.ctx.pairprod])
 
     # -- idempotent machinery -------------------------------------------------
@@ -611,7 +607,7 @@ class HeckeEnd:
         rows = f.matmul(self.right_mul(e), self.left_mul(e)).T
         red = gauss(FMatrix(f, rows))
         rad = gauss(FMatrix(f, f.matmul(self.radical, rows))).rank
-        return red.rref.a[: red.rank].astype(np.int64), red.rank - rad
+        return red.rref.a[: red.rank], red.rank - rad
 
     def _split_corner(self, e: np.ndarray, rng: random.Random
                       ) -> list[np.ndarray]:
@@ -621,9 +617,8 @@ class HeckeEnd:
             return [e]
         m = basis.shape[0]
         for _ in range(SPLIT_TRIES):
-            coeffs = np.array([rng.randrange(f.q) for _ in range(m)], dtype=np.int64)
-            x = f.matmul(coeffs[None, :].astype(f.dtype),
-                         basis.astype(f.dtype))[0].astype(np.int64)
+            coeffs = np.array([[rng.randrange(f.q) for _ in range(m)]], dtype=f.dtype)
+            x = f.matmul(coeffs, basis)[0]
             # e x = x, so the Krylov rows of R_x on e are e, x, x^2, ...
             mp, powers = _krylov(f, FMatrix(f, self.right_mul(x)), e)
             fac = factor_poly(f, mp, rng)
@@ -638,11 +633,10 @@ class HeckeEnd:
                     raise RuntimeError("minimal polynomial factors are not coprime")
                 # idempotent: (u * rest) = 1 mod part, 0 mod rest
                 eps_poly = pmod(f, pmul(f, u, rest), mp)
-                eps = f.matmul(eps_poly[None, :].astype(f.dtype),
-                               powers[: len(eps_poly)])[0].astype(np.int64)
+                eps = f.matmul(eps_poly[None, :], powers[: len(eps_poly)])[0]
                 if not np.array_equal(self.mul(eps, eps), eps):
                     raise RuntimeError("split element is not idempotent")
-                other = f.sub_vec(e, eps).astype(np.int64)
+                other = f.sub_vec(e, eps)
                 if self.mul(eps, other).any():
                     raise RuntimeError("split idempotents are not orthogonal")
                 return (self._split_corner(eps, rng)
@@ -657,9 +651,9 @@ class HeckeEnd:
     def primitive_idempotents(self, rng: random.Random) -> list[np.ndarray]:
         prims = self._split_corner(self.unit, rng)
         # consistency: orthogonal decomposition of the identity
-        total = np.zeros(self.dim_alg, dtype=np.int64)
+        total = np.zeros(self.dim_alg, dtype=self.f.dtype)
         for e in prims:
-            total = self.f.add_vec(total, e).astype(np.int64)
+            total = self.f.add_vec(total, e)
         if not np.array_equal(total, self.unit):
             raise RuntimeError("primitive idempotents do not sum to the unit")
         return prims
@@ -704,6 +698,9 @@ def split_summands(ctx: InducedContext, lam: LinearCharacter,
     if total != induced.dim:
         raise RuntimeError(f"summand dimensions add to {total}, "
                            f"expected {induced.dim}")
+    # the bytes of the field-dtype codes order as those of the same codes in
+    # any wider unsigned or nonnegative dtype: a wider entry only adds zero
+    # high-order bytes
     order = sorted(range(len(out)), key=lambda i: (out[i].dim,
                                                    out[i].idem.tobytes()))
     return [out[i] for i in order]
@@ -738,7 +735,7 @@ def spin(f: FieldTable, mats: Sequence[FMatrix], seeds: np.ndarray) -> FMatrix:
 def _random_algebra_elem(f: FieldTable, mats: Sequence[FMatrix],
                          rng: random.Random) -> FMatrix:
     n = mats[0].a.shape[0]
-    acc = FMatrix(f, np.zeros((n, n), dtype=np.int64))
+    acc = FMatrix(f, np.zeros((n, n), dtype=f.dtype))
     for _ in range(3):
         m = FMatrix.identity(f, n)
         for _ in range(rng.randrange(1, 4)):
@@ -764,12 +761,12 @@ def _krylov(f: FieldTable, z: FMatrix, v: np.ndarray
         rows[k + 1] = f.matmul(rows[k: k + 1], zt)[0]
     red = gauss(FMatrix(f, rows.T))
     d = red.rank
-    return red.kernel.a[0, : d + 1].astype(np.int64), rows[:d]
+    return red.kernel.a[0, : d + 1], rows[:d]
 
 
 def _mat_poly(f: FieldTable, poly: np.ndarray, z: FMatrix) -> FMatrix:
     n = z.a.shape[0]
-    acc = FMatrix(f, np.zeros((n, n), dtype=np.int64))
+    acc = FMatrix(f, np.zeros((n, n), dtype=f.dtype))
     ident = FMatrix.identity(f, n)
     for c in poly[::-1]:
         acc = acc @ z
@@ -807,7 +804,7 @@ def is_irreducible(f: FieldTable, mats: Sequence[FMatrix], rng: random.Random
         z = _random_algebra_elem(f, mats, rng)
         if z.is_zero():
             continue
-        v = np.array([rng.randrange(q) for _ in range(n)], dtype=np.int64)
+        v = np.array([rng.randrange(q) for _ in range(n)], dtype=f.dtype)
         if not v.any():
             continue
         mp = _krylov(f, z, v)[0]
@@ -843,24 +840,23 @@ def chop(f: FieldTable, mats: Sequence[FMatrix], rng: random.Random
     ok, wit = is_irreducible(f, mats, rng)
     if ok:
         return [list(mats)]
+    # W is the row span of the RREF w, and wt = w^T has the identity at
+    # rows piv; in the basis (w^T, e_rest), g acts on W as (g w^T)[piv] and
+    # on V/W as g[rest, rest] - w[:, rest]^T g[piv, rest]
     red = gauss(wit)
-    w = red.rref.a[: red.rank].astype(np.int64)
-    r = w.shape[0]
-    piv = [int(c) for c in red.pivots]
-    rest = [c for c in range(n) if c not in piv]
-    basis = np.zeros((n, n), dtype=np.int64)
-    basis[:, :r] = w.T
-    for k, c in enumerate(rest):
-        basis[c, r + k] = 1
-    P = FMatrix(f, basis)
-    Pinv = P.inverse()
+    piv = list(red.pivots)
+    rest = [c for c in range(n) if c not in red.pivots]
+    wt = np.ascontiguousarray(red.rref.a[: red.rank].T)
+    w_rest = wt[rest]
     subs, quots = [], []
     for m in mats:
-        mm = (Pinv @ m @ P).a
-        if mm[r:, :r].any():
+        gw = f.matmul(m.a, wt)
+        act = gw[piv]
+        if not np.array_equal(gw[rest], f.matmul(w_rest, act)):
             raise RuntimeError("invariant subspace not respected")
-        subs.append(FMatrix(f, np.ascontiguousarray(mm[:r, :r])))
-        quots.append(FMatrix(f, np.ascontiguousarray(mm[r:, r:])))
+        subs.append(FMatrix(f, act))
+        quots.append(FMatrix(f, f.sub_vec(m.a[np.ix_(rest, rest)],
+                                          f.matmul(w_rest, m.a[np.ix_(piv, rest)]))))
     return chop(f, subs, rng) + chop(f, quots, rng)
 
 

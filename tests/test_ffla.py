@@ -106,6 +106,97 @@ def test_vector_ops_match_scalar_loops(fi, data):
     assert [f.neg(int(x)) for x in a] == list(f.neg_vec(a))
 
 
+# the codec fields: prime, odd extensions, and characteristic 2 up to q = 2^16
+CODEC_FIELDS = [(3, 1), (3, 2), (5, 2), (3, 3), (2, 2), (2, 16)]
+
+
+def _ref_digits(f, code):
+    return [code // f.p ** u % f.p for u in range(f.e)]
+
+
+def _ref_code(f, digits):
+    return sum(d % f.p * f.p ** u for u, d in enumerate(digits))
+
+
+def _ref_add(f, a, b, sign=1):
+    return _ref_code(f, [x + sign * y for x, y in
+                         zip(_ref_digits(f, a), _ref_digits(f, b))])
+
+
+@given(st.sampled_from(CODEC_FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_codec_and_additive_ops_match_per_digit_reference(pe, data):
+    f = field_make(*pe)
+    p, e, q = f.p, f.e, f.q
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), max_size=3)))
+    size = int(np.prod(shape))
+    codes = st.lists(st.integers(0, q - 1), min_size=size, max_size=size)
+    a = np.array(data.draw(codes), dtype=np.int64).reshape(shape)
+    b = np.array(data.draw(codes), dtype=np.int64).reshape(shape)
+    flat_a, flat_b = a.reshape(-1).tolist(), b.reshape(-1).tolist()
+    # digits: (e, *shape), entry u the coefficient of x^u; codes inverts it
+    for x in (a, a.astype(f.dtype)):
+        d = f.digits(x)
+        assert d.shape == (e,) + shape
+        assert d.reshape(e, -1).T.tolist() == [_ref_digits(f, c) for c in flat_a]
+        back = f.codes(d)
+        assert back.dtype == f.dtype and back.tolist() == a.tolist()
+    # codes takes every digit mod p, negative and past p included
+    raw = np.array(data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=e * size,
+                                      max_size=e * size)), dtype=np.int64)
+    want = [_ref_code(f, col) for col in raw.reshape(e, -1).T.tolist()]
+    got = f.codes(raw.reshape((e,) + shape).copy())
+    assert got.dtype == f.dtype and got.reshape(-1).tolist() == want
+    # the vector ops, in int64 and in the field dtype, and the scalar ops
+    add = [_ref_add(f, x, y) for x, y in zip(flat_a, flat_b)]
+    sub = [_ref_add(f, x, y, -1) for x, y in zip(flat_a, flat_b)]
+    neg = [_ref_add(f, 0, x, -1) for x in flat_a]
+    for x, y in ((a, b), (a.astype(f.dtype), b.astype(f.dtype)),
+                 (a, b.astype(f.dtype))):
+        for got, want in ((f.add_vec(x, y), add), (f.sub_vec(x, y), sub),
+                          (f.neg_vec(x), neg)):
+            assert got.dtype == f.dtype and got.shape == shape
+            assert got.reshape(-1).tolist() == want
+    assert [f.add(x, y) for x, y in zip(flat_a, flat_b)] == add
+    assert [f.sub(x, y) for x, y in zip(flat_a, flat_b)] == sub
+    assert [f.neg(x) for x in flat_a] == neg
+    # a 0-d operand broadcasts against an n-d one, on either side
+    c = data.draw(st.integers(0, q - 1))
+    for scalar in (c, np.asarray(c, dtype=f.dtype)):
+        assert f.add_vec(scalar, a).reshape(-1).tolist() == \
+            [_ref_add(f, c, x) for x in flat_a]
+        assert f.sub_vec(a, scalar).reshape(-1).tolist() == \
+            [_ref_add(f, x, c, -1) for x in flat_a]
+        assert f.sub_vec(scalar, a).reshape(-1).tolist() == \
+            [_ref_add(f, c, x, -1) for x in flat_a]
+    # sums: of everything, and along every axis, counted from either end
+    total = 0
+    for x in flat_a:
+        total = _ref_add(f, total, x)
+    assert int(f.sum_vec(a)) == total
+    for axis in range(len(shape)):
+        fibers = np.moveaxis(a, axis, -1).reshape(-1, shape[axis]).tolist()
+        want = []
+        for fiber in fibers:
+            acc = 0
+            for x in fiber:
+                acc = _ref_add(f, acc, x)
+            want.append(acc)
+        for ax in (axis, axis - len(shape)):
+            got = f.sum_vec(a.astype(f.dtype), axis=ax)
+            assert got.dtype == f.dtype
+            assert got.reshape(-1).tolist() == want
+
+
+def test_anchor_polynomials_are_verified():
+    for (p, e), poly in _PRIMITIVE_POLYS.items():
+        assert FieldTable(p, e).poly == poly
+    # x^2 + 1 = (x - 2)(x + 2) over GF(5): x is not primitive modulo it
+    with mock.patch.dict(ffla._PRIMITIVE_POLYS, {(5, 2): (1, 0)}):
+        with pytest.raises(ValueError, match="not primitive"):
+            FieldTable(5, 2)
+
+
 def _shift_and_add_mul(f, a, b):
     """a * b without the log/exp tables: schoolbook over the digits of b,
     with a * x^i from repeated multiplication by x modulo the polynomial."""

@@ -826,6 +826,29 @@ def test_primitive_idempotents(a5setup):
                 assert not h.mul(e2, e1).any()
 
 
+@pytest.mark.parametrize("pe", [(2, 2), (3, 2), (2, 9)],
+                         ids=lambda pe: f"gf{pe[0]}^{pe[1]}")
+def test_polynomials_krylov_rows_and_idempotents_keep_the_field_dtype(pe):
+    """Codes stay in the field dtype (uint8, or uint16 past q = 256) through
+    factorization, Krylov rows and idempotent splitting."""
+    f = field_make(*pe)
+    rng = random.Random(5)
+    a = pmul(f, _poly([1, 1]), pmul(f, _poly([1, 1]), _poly([f.gen, 0, 1])))
+    for g, _ in factor_poly(f, a, rng):
+        assert g.dtype == f.dtype
+    z = FMatrix(f, np.random.default_rng(5).integers(0, f.q, size=(5, 5)))
+    poly, rows = split._krylov(f, z, np.eye(5, dtype=f.dtype)[0])
+    assert poly.dtype == f.dtype and rows.dtype == f.dtype
+    G = GroupTable(PermOps(4), [perm(4, (0, 1, 2)), perm(4, (0, 1, 2, 3))])
+    ctx = InducedContext(G, G.sylow(2))
+    ab = ctx.ntable.abelianization_pprime(f.p)
+    for lam in character_group(ctx.ntable, ab, f):
+        h = HeckeEnd(ctx, lam)
+        assert h.structure.dtype == f.dtype and h.unit.dtype == f.dtype
+        for e in h.primitive_idempotents(random.Random(0)):
+            assert e.dtype == f.dtype
+
+
 # -- splitting, factors, isomorphism ------------------------------------------
 
 def test_split_summands_a5(a5setup):
@@ -1222,6 +1245,52 @@ def test_chop_when_g0_vanishes(pe, gens, dims):
     f = field_make(*pe)
     mats = [FMatrix(f, g) for g in gens]
     assert composition_factor_dims(f, mats, random.Random(0)) == dims
+
+
+@given(st.sampled_from([(2, 1), (2, 2), (3, 1), (5, 1), (3, 2)]),
+       st.integers(2, 7), st.data())
+@settings(max_examples=80, deadline=None)
+def test_chop_blocks_match_change_of_basis(pe, n, data):
+    """The sub and quotient actions chop reads at the pivot columns equal the
+    diagonal blocks of P^-1 g P, P = (w^T | unit columns off the pivots)."""
+    f = field_make(*pe)
+    r = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    while True:
+        S = FMatrix(f, rng.integers(0, f.q, size=(n, n)))
+        if S.rank() == n:
+            break
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        block = rng.integers(0, f.q, size=(n, n))
+        block[r:, :r] = 0
+        gens.append(S @ FMatrix(f, block) @ S.inverse())
+    # W is spanned by the first r columns of S, offered as rows mixed by a
+    # random (possibly rank-deficient) r x r matrix plus a zero row
+    mix = rng.integers(0, f.q, size=(r + 1, r))
+    mix[-1] = 0
+    wit = FMatrix(f, f.matmul(mix, np.ascontiguousarray(S.a[:, :r].T)))
+    if wit.rank() == 0:
+        return
+    red = gauss(wit)
+    w = red.rref.a[: red.rank]
+    rest = [c for c in range(n) if c not in red.pivots]
+    basis = np.zeros((n, n), dtype=f.dtype)
+    basis[:, : red.rank] = w.T
+    basis[rest, red.rank + np.arange(len(rest))] = 1
+    P = FMatrix(f, basis)
+    blocks = [(P.inverse() @ g @ P).a for g in gens]
+    k = red.rank
+    answers = [(False, wit)] + [(True, None)] * 2
+    with mock.patch.object(split, "is_irreducible", side_effect=answers):
+        if any(b[k:, :k].any() for b in blocks):
+            # a witness of rank below r need not be invariant
+            with pytest.raises(RuntimeError, match="not respected"):
+                chop(f, gens, random.Random(0))
+            return
+        sub, quot = chop(f, gens, random.Random(0))
+    assert [m.a.tolist() for m in sub] == [b[:k, :k].tolist() for b in blocks]
+    assert [m.a.tolist() for m in quot] == [b[k:, k:].tolist() for b in blocks]
 
 
 def test_at_most_two_spins_per_algebra_element(k_report):
